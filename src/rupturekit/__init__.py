@@ -23,6 +23,7 @@ from .cuts import (
 from .errors import (
     InfeasibleError,
     InputError,
+    OracleMismatchError,
     RupturekitError,
     SizeLimitError,
 )
@@ -55,4 +56,4 @@ from .response import (
     solve_response,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

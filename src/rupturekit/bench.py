@@ -21,7 +21,7 @@ from .attack import (
     attack_budget_knapsack,
     solve_attack,
 )
-from .errors import InputError
+from .errors import InputError, OracleMismatchError
 from .graph import CutSet, Graph, components, rupture_score, worst_cut_oracle
 from .model_io import InstanceFile
 from .response import (
@@ -184,36 +184,40 @@ def run_pipeline(
         attack_res = solve_attack(model, cuts)
         if oracle_check and attack_res.status == STATUS_OPTIMAL:
             ref = worst_cut_oracle(g, budget, model.attackable)
-            assert ref is not None and attack_res.score is not None
-            if ref[1].rupture != attack_res.score.rupture:
-                raise AssertionError("attack solver disagrees with the oracle")
+            assert attack_res.score is not None
+            if ref is None or ref[1].rupture != attack_res.score.rupture:
+                raise OracleMismatchError("attack solver disagrees with the oracle")
 
     if attack_res.status != STATUS_OPTIMAL or attack_res.partition is None:
         return PipelineOutcome(name, inst, attack_res, None, None)
 
     part = attack_res.partition
     assert attack_res.score is not None
-    if part.count > 1:
-        mc = mceic_matrix(g, part)
-        comp_class = classify_components(g, part) if power else None
-        budget_r = inst.budget_response
-        if budget_r is not None and math.isinf(budget_r):
-            budget_r = None
-        rm = ResponseModel(part, mc, budget_r, attack_res.score.cut_size,
-                           comp_class, power)
-        plan = solve_response(rm)
-        if oracle_check:
-            ref_plan = brute_force_response(rm)
-            if ref_plan.rupture != plan.rupture:
-                raise AssertionError("response solver disagrees with the oracle")
-    else:
-        # removing down to one component needs no reconstruction
-        rm = ResponseModel(part, mceic_matrix(g, part), None,
-                           attack_res.score.cut_size)
-        plan = solve_response(rm)
+    mc = mceic_matrix(g, part)
+    comp_class = classify_components(g, part) if power else None
+    budget_r = inst.budget_response
+    if budget_r is not None and math.isinf(budget_r):
+        budget_r = None
+    rm = ResponseModel(part, mc, budget_r, attack_res.score.cut_size,
+                       comp_class, power)
+    plan = solve_response(rm)
+    if oracle_check:
+        check_response_oracle(rm, plan)
 
     dynamic = dynamic_worst_cut(g, plan, model)
     return PipelineOutcome(name, inst, attack_res, plan, dynamic)
+
+
+def check_response_oracle(rm: ResponseModel, plan: ReconstructionPlan) -> None:
+    """Raise OracleMismatchError unless the enumeration oracle returns the
+    same selected links and rupture as the solver."""
+    ref = brute_force_response(rm)
+    if (ref.selected, ref.rupture) != (plan.selected, plan.rupture):
+        raise OracleMismatchError(
+            f"response solver disagrees with the oracle: selected "
+            f"{list(plan.selected)} rupture {plan.rupture}, oracle "
+            f"{list(ref.selected)} rupture {ref.rupture}"
+        )
 
 
 def _safe_cuts(model: AttackModel):

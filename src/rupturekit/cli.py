@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 infeasible, 3 input error, 4 size guard.
+Exit codes: 0 success, 2 infeasible, 3 input error, 4 size guard,
+5 solver/oracle mismatch.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ from .cuts import KnapsackConstraint, cuts_for_knapsack
 from .errors import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
+    EXIT_ORACLE,
     EXIT_SIZE,
     InfeasibleError,
     InputError,
+    OracleMismatchError,
     SizeLimitError,
 )
 from .graph import CutSet, components, rupture_score, worst_cut_oracle
 from .response import (
     ResponseModel,
-    brute_force_response,
     classify_components,
     mceic_matrix,
     solve_response,
@@ -40,6 +42,8 @@ def _fail(exc: Exception) -> "int":
         code = EXIT_SIZE
     elif isinstance(exc, InfeasibleError):
         code = EXIT_INFEASIBLE
+    elif isinstance(exc, OracleMismatchError):
+        code = EXIT_ORACLE
     else:
         code = EXIT_INPUT
     click.echo(f"error: {exc}", err=True)
@@ -136,7 +140,8 @@ def attack(instance, budget_attack, attackable, relaxed, oracle_check):
             ref = worst_cut_oracle(g, budget, nodes)
             assert res.score is not None
             if ref is None or ref[1].rupture != res.score.rupture:
-                raise AssertionError("solver disagrees with the enumeration oracle")
+                raise OracleMismatchError(
+                    "solver disagrees with the enumeration oracle")
         click.echo(json.dumps(
             model_io.result_to_dict(Path(instance).name, attack=res),
             indent=2, sort_keys=True))
@@ -169,9 +174,7 @@ def respond(instance, cut_x, budget_response, power_constraint, oracle_check):
                            classes, power_constraint)
         plan = solve_response(rm)
         if oracle_check:
-            ref = brute_force_response(rm)
-            if ref.rupture != plan.rupture:
-                raise AssertionError("solver disagrees with the enumeration oracle")
+            bench.check_response_oracle(rm, plan)
         click.echo(json.dumps(
             model_io.result_to_dict(Path(instance).name, plan=plan),
             indent=2, sort_keys=True))

@@ -17,7 +17,12 @@ class InfeasibleError(RupturekitError):
     """No feasible solution exists for the requested problem (exit code 2)."""
 
 
+class OracleMismatchError(RupturekitError):
+    """A solver answer differs from its enumeration oracle (exit code 5)."""
+
+
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_SIZE = 4
+EXIT_ORACLE = 5

@@ -97,11 +97,12 @@ def test_criterion_3_response_reduction(capsys):
                           budget, res.score.cut_size)
         solved = solve_response(m)
         brute = brute_force_response(m)
-        ok = ok and solved.rupture == brute.rupture
+        ok = (ok and solved.rupture == brute.rupture
+              and solved.selected == brute.selected)
         checked += 1
     _report(capsys, 3, ok,
-            "response solver equals MCEIC subset enumeration on 100 "
-            "attacked instances with s <= 7")
+            "response solver plans (rupture and selected links) equal MCEIC "
+            "subset enumeration on 100 attacked instances with s <= 7")
 
 
 def test_criterion_4_lci_validity(capsys):

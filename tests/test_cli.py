@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
+from rupturekit import bench
 from rupturekit.cli import main
+from rupturekit.response import SOLVER_MAX_COMPONENTS
 
 
 @pytest.fixture
@@ -59,6 +62,86 @@ class TestRespondCommand:
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
         assert len(doc["response"]["links"]) == 2
+
+
+K2 = ("FORMAT rupturekit-instance 1\nNODES 2\nEDGES 1\n1 2\n"
+      "BUDGETS\nattack 1.000000\nATTACK\ntargeted\nEND\n")
+C4_DESIGNATED = ("FORMAT rupturekit-instance 1\nNODES 4\nEDGES 4\n"
+                 "1 2\n1 4\n2 3\n3 4\nLINK_COSTS\n1 3 1.000000\n"
+                 "2 4 1.000000\nATTACK\ndesignated 1\nEND\n")
+
+
+def star_text(leaves):
+    """K(1, leaves) with unit link costs between all leaves."""
+    n = leaves + 1
+    lines = ["FORMAT rupturekit-instance 1", f"NODES {n}", f"EDGES {leaves}"]
+    lines += [f"1 {v}" for v in range(2, n + 1)]
+    lines.append("LINK_COSTS")
+    lines += [f"{i} {j} 1.000000"
+              for i in range(2, n + 1) for j in range(i + 1, n + 1)]
+    lines += ["ATTACK", "targeted", "END"]
+    return "\n".join(lines) + "\n"
+
+
+class TestOneSurvivingComponent:
+    """Attacks that leave at most one component get an empty plan."""
+
+    def test_pipeline_k2(self, runner, tmp_path):
+        path = tmp_path / "k2.txt"
+        path.write_text(K2)
+        res = runner.invoke(main, ["pipeline", str(path), "--csv",
+                                   "--oracle-check"])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1] == "k2.txt,2,1,0.000000,0,1,1,1,1,1"
+
+    def test_sweep_k2(self, runner, tmp_path):
+        path = tmp_path / "k2.txt"
+        path.write_text(K2)
+        res = runner.invoke(main, ["sweep", str(path), "--grid", "0,unlimited"])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1:] == ["0.000000,0,1,1",
+                                               "unlimited,0,1,1"]
+
+    def test_pipeline_c4_designated_non_cut(self, runner, tmp_path):
+        path = tmp_path / "c4.txt"
+        path.write_text(C4_DESIGNATED)
+        res = runner.invoke(main, ["pipeline", str(path), "--csv"])
+        assert res.exit_code == 0, res.output
+        row = res.output.splitlines()[1].split(",")
+        assert row[3:8] == ["0.000000", "0", "1", "3", "3"]
+
+    def test_respond_c4_non_cut(self, runner, tmp_path):
+        path = tmp_path / "c4.txt"
+        path.write_text(C4_DESIGNATED)
+        res = runner.invoke(main, ["respond", str(path), "--cut-x", "1",
+                                   "--oracle-check"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert doc["response"]["links"] == []
+        assert doc["response"]["resilience"] == 3
+
+
+class TestRespondErrors:
+    def test_size_guard_exit_code(self, runner, tmp_path):
+        path = tmp_path / "star.txt"
+        path.write_text(star_text(SOLVER_MAX_COMPONENTS + 1))
+        res = runner.invoke(main, ["respond", str(path), "--cut-x", "1"])
+        assert res.exit_code == 4
+
+    def test_oracle_mismatch_exit_code(self, runner, nine_node_path,
+                                       monkeypatch):
+        real = bench.brute_force_response
+
+        def wrong_oracle(model):
+            # the oracle of a zero budget adds no link
+            return real(replace(model, budget=0.0))
+
+        monkeypatch.setattr(bench, "brute_force_response", wrong_oracle)
+        res = runner.invoke(main, ["respond", str(nine_node_path),
+                                   "--cut-x", "5", "--budget-response", "1.5",
+                                   "--oracle-check"])
+        assert res.exit_code == 5
+        assert "disagrees with the oracle" in res.output
 
 
 class TestPipelineCommand:

@@ -1,13 +1,18 @@
-import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rupturekit import response
 from rupturekit.attack import AttackModel
-from rupturekit.errors import InputError
+from rupturekit.errors import InputError, SizeLimitError
 from rupturekit.graph import Graph, components, rupture_score
 from rupturekit.response import (
     HAS_GENERATOR,
     LOAD_ONLY,
+    POWER_MAX_COMPONENTS,
+    SOLVER_MAX_COMPONENTS,
     ResponseModel,
     apply_power_constraint,
     brute_force_response,
@@ -110,6 +115,102 @@ class TestSolveResponse:
         _, m = simple_model(budget=1.5)
         plan = solve_response(m)
         assert plan.total_cost <= 1.5 + 1e-9
+
+    def test_zero_cost_ties_never_add_a_redundant_link(self):
+        # four singletons, free links except (1,4) and (3,4): the free cycle
+        # (1,2),(1,3),(2,3) plus (2,4) has sigmas (1,2,4,5), which sort
+        # before the tree's (1,2,5), but its link (2,3) is redundant
+        g = Graph(4, [], link_cost={(1, 2): 0.0, (1, 3): 0.0, (1, 4): 1.0,
+                                    (2, 3): 0.0, (2, 4): 0.0, (3, 4): 1.0})
+        part = components(g, [])
+        m = ResponseModel(part, mceic_matrix(g, part), 0.0, 0)
+        assert solve_response(m).selected == ((1, 2), (1, 3), (2, 4))
+        assert brute_force_response(m).selected == ((1, 2), (1, 3), (2, 4))
+
+    def test_default_path_never_enumerates_partitions(self, monkeypatch):
+        def forbidden(s):
+            raise AssertionError("set partitions enumerated on the default path")
+
+        monkeypatch.setattr(response, "_set_partitions", forbidden)
+        _, m = simple_model(budget=2.3)
+        assert solve_response(m).rupture == brute_force_response(m).rupture
+
+
+def singletons_model(s, budget=None, classes=None):
+    g = Graph(s, [], link_cost={(i, j): 1.0 + 0.1 * ((i * j) % 7)
+                                for i, j in combinations(range(1, s + 1), 2)})
+    part = components(g, [])
+    return ResponseModel(part, mceic_matrix(g, part), budget, 0,
+                         classes, classes is not None)
+
+
+class TestDegenerateAndCaps:
+    @pytest.mark.parametrize("n,edges,cut", [
+        (2, [(1, 2)], [1]),                        # K2 minus one node
+        (4, [(1, 2), (2, 3), (3, 4), (1, 4)], [1]),  # C4 minus a non-cut node
+    ])
+    def test_one_component_gives_empty_plan(self, n, edges, cut):
+        g = Graph(n, edges, link_cost={(1, 3): 1.0, (2, 4): 1.0} if n == 4 else None)
+        part = components(g, cut)
+        mc = mceic_matrix(g, part)
+        assert mc.cost == {}
+        m = ResponseModel(part, mc, None, len(cut))
+        for plan in (solve_response(m), brute_force_response(m)):
+            assert plan.selected == () and plan.links == ()
+            assert plan.total_cost == 0.0
+            assert plan.merged_partition == part
+            assert plan.rupture == rupture_score(g, cut).rupture
+
+    def test_default_cap_is_solved(self):
+        # the only cost-1.0 links touch component 7 or 14; three of them
+        # join four components, the most a budget of 3.0 can buy
+        plan = solve_response(singletons_model(SOLVER_MAX_COMPONENTS, budget=3.0))
+        assert plan.selected == ((1, 7), (1, 14), (2, 7))
+        assert plan.total_cost == 3.0
+        assert plan.rupture == -4 + (SOLVER_MAX_COMPONENTS - 3)
+
+    def test_default_cap_exceeded(self):
+        with pytest.raises(SizeLimitError):
+            solve_response(singletons_model(SOLVER_MAX_COMPONENTS + 1))
+
+    def test_power_cap_exceeded(self):
+        s = POWER_MAX_COMPONENTS + 1
+        classes = (HAS_GENERATOR,) + (LOAD_ONLY,) * (s - 1)
+        with pytest.raises(SizeLimitError):
+            solve_response(singletons_model(s, classes=classes))
+
+
+@st.composite
+def response_models(draw):
+    """Components built from paths and singletons, link costs from tied
+    palettes that include 0.0, budgets from zero to unlimited."""
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    edges = []
+    start = 1
+    for length in lengths:
+        edges += [(v, v + 1) for v in range(start, start + length - 1)]
+        start += length
+    n = start - 1
+    palette = draw(st.sampled_from([(0.0,), (0.0, 1.0), (1.0,), (1.0, 2.0),
+                                    (0.0, 0.5, 1.5), (1.0, 1.1, 1.2)]))
+    edge_set = set(edges)
+    link_cost = {p: draw(st.sampled_from(palette))
+                 for p in combinations(range(1, n + 1), 2) if p not in edge_set}
+    g = Graph(n, edges, link_cost=link_cost)
+    part = components(g, [])
+    budget = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, None]))
+    cut_size = draw(st.integers(0, 3))
+    return ResponseModel(part, mceic_matrix(g, part), budget, cut_size)
+
+
+class TestSolverMatchesOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(response_models())
+    def test_same_plan_as_brute_force(self, m):
+        a = solve_response(m)
+        b = brute_force_response(m)
+        assert (a.selected, a.links, a.total_cost, a.rupture) == (
+            b.selected, b.links, b.total_cost, b.rupture)
 
 
 class TestPowerConstraint:
