@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from .cuts import LiftedCoverCut, TOL
 from .errors import InputError
 from .graph import (
     ComponentPartition,
@@ -29,6 +28,9 @@ from .graph import (
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
+
+# budget tolerance, the same as the enumeration oracle's
+BUDGET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class AttackModel:
 @dataclass
 class SolverStats:
     nodes_explored: int = 0
+    # always 0: the search applies no cuts; kept for the rupturekit-result/1
+    # JSON, which emits it under "stats"
     cuts_applied: int = 0
     wall_time: float = 0.0
 
@@ -88,22 +92,15 @@ class AttackResult:
         return None if self.score is None else self.score.rupture
 
 
-def branch_bound_engine(
-    model: AttackModel, cuts: Sequence[LiftedCoverCut] = ()
-) -> AttackResult:
-    """Depth-first branch-and-bound on remove/keep decisions.
+def solve_attack(model: AttackModel) -> AttackResult:
+    """Global maximizer of r = -|X| - m + w over budget-feasible cut sets.
 
-    Branching order is descending degree then index; removal is tried first
-    so good incumbents appear early.  Knapsack cuts (over the removal
-    indicators) prune partial removals whose forced left-hand side already
-    exceeds the cut's right-hand side.
+    Depth-first branch-and-bound on remove/keep decisions.  Branching order
+    is descending degree then index; removal is tried first so good
+    incumbents appear early.  The attack budget is enforced exactly on every
+    removal branch, so no knapsack cut over the removal indicators can prune
+    a partial removal that this test admits.
     """
-    for cut in cuts:
-        if not cut.verified:
-            raise InputError("unverified cut passed to the attack engine")
-        if len(cut.coeffs) != model.graph.n:
-            raise InputError("cut index space does not match the graph")
-
     g = model.graph
     if not g.is_connected():
         raise InputError("attack stage requires a connected graph")
@@ -139,8 +136,7 @@ def branch_bound_engine(
         if b is None or (-cand[0], cand[1], cand[2]) < (-b[0], b[1], b[2]):
             best[0] = cand
 
-    def dfs(idx: int, removed_mask: int, kept_mask: int, spent: float,
-            cut_lhs: list[int]) -> None:
+    def dfs(idx: int, removed_mask: int, kept_mask: int, spent: float) -> None:
         stats.nodes_explored += 1
         b = best[0]
         if b is not None:
@@ -167,20 +163,13 @@ def branch_bound_engine(
         bit = 1 << (v - 1)
         # branch: remove v
         new_spent = spent + cost[v - 1]
-        if new_spent <= budget + TOL:
-            new_lhs = [lhs + c.coeffs[v - 1] for lhs, c in zip(cut_lhs, cuts)]
-            violated = any(
-                lhs > c.rhs for lhs, c in zip(new_lhs, cuts)
-            )
-            if violated:
-                stats.cuts_applied += 1
-            else:
-                dfs(idx + 1, removed_mask | bit, kept_mask, new_spent, new_lhs)
+        if new_spent <= budget + BUDGET_TOL:
+            dfs(idx + 1, removed_mask | bit, kept_mask, new_spent)
         # branch: keep v
-        dfs(idx + 1, removed_mask, kept_mask | bit, spent, cut_lhs)
+        dfs(idx + 1, removed_mask, kept_mask | bit, spent)
 
     intact_mask = _nodes_to_mask(model.intact)
-    dfs(0, 0, intact_mask, 0.0, [0] * len(cuts))
+    dfs(0, 0, intact_mask, 0.0)
     stats.wall_time = time.perf_counter() - start
 
     if best[0] is None:
@@ -193,16 +182,7 @@ def branch_bound_engine(
     return AttackResult(STATUS_OPTIMAL, cut_set, score, part, stats)
 
 
-def solve_attack(
-    model: AttackModel, cuts: Sequence[LiftedCoverCut] = ()
-) -> AttackResult:
-    """Global maximizer of r = -|X| - m + w over budget-feasible cut sets."""
-    return branch_bound_engine(model, cuts)
-
-
-def solve_attack_relaxed(
-    model: AttackModel, cuts: Sequence[LiftedCoverCut] = ()
-) -> AttackResult:
+def solve_attack_relaxed(model: AttackModel) -> AttackResult:
     """Variant with the component-length and non-emptiness variables
     continuous.
 
@@ -212,7 +192,7 @@ def solve_attack_relaxed(
     both integral.  The engine therefore reuses the combinatorial search and
     reports the continuous optimizers alongside.
     """
-    result = branch_bound_engine(model, cuts)
+    result = solve_attack(model)
     if result.status != STATUS_OPTIMAL:
         return result
     assert result.partition is not None and result.score is not None
@@ -227,9 +207,3 @@ def solve_attack_relaxed(
     result.relaxed_b = b
     return result
 
-
-def attack_budget_knapsack(model: AttackModel) -> "KnapsackConstraint":
-    """The budget constraint as a knapsack over removal indicators."""
-    from .cuts import KnapsackConstraint
-
-    return KnapsackConstraint(tuple(model.graph.attack_cost), model.budget)

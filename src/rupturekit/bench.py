@@ -18,7 +18,6 @@ from .attack import (
     AttackModel,
     AttackResult,
     SolverStats,
-    attack_budget_knapsack,
     solve_attack,
 )
 from .errors import InputError, OracleMismatchError
@@ -158,7 +157,7 @@ def _designated_attack(inst: InstanceFile) -> AttackResult:
     score = rupture_score(g, cut)
     cut = CutSet(cut.nodes, score.is_cut)
     part = components(g, cut.nodes)
-    return AttackResult(STATUS_OPTIMAL, cut, score, part, SolverStats(0, 0, 0.0))
+    return AttackResult(STATUS_OPTIMAL, cut, score, part, SolverStats())
 
 
 def run_pipeline(
@@ -178,15 +177,9 @@ def run_pipeline(
         budget = (inst.budget_attack if inst.budget_attack is not None
                   else default_attack_budget(inst.n))
         model = AttackModel(g, budget, inst.attackable_nodes())
-        cuts = []
-        if budget > 0:
-            cuts = _safe_cuts(model)
-        attack_res = solve_attack(model, cuts)
-        if oracle_check and attack_res.status == STATUS_OPTIMAL:
-            ref = worst_cut_oracle(g, budget, model.attackable)
-            assert attack_res.score is not None
-            if ref is None or ref[1].rupture != attack_res.score.rupture:
-                raise OracleMismatchError("attack solver disagrees with the oracle")
+        attack_res = solve_attack(model)
+        if oracle_check:
+            check_attack_oracle(model, attack_res)
 
     if attack_res.status != STATUS_OPTIMAL or attack_res.partition is None:
         return PipelineOutcome(name, inst, attack_res, None, None)
@@ -208,6 +201,22 @@ def run_pipeline(
     return PipelineOutcome(name, inst, attack_res, plan, dynamic)
 
 
+def check_attack_oracle(model: AttackModel, res: AttackResult) -> None:
+    """Raise OracleMismatchError unless the enumeration oracle returns the
+    same status, cut and rupture as the solver."""
+    ref = worst_cut_oracle(model.graph, model.budget, model.attackable)
+    got = (res.status, res.cut.nodes if res.cut else None,
+           res.score.rupture if res.score else None)
+    want = ((STATUS_INFEASIBLE, None, None) if ref is None
+            else (STATUS_OPTIMAL, ref[0].nodes, ref[1].rupture))
+    if got != want:
+        raise OracleMismatchError(
+            f"attack solver disagrees with the oracle: {got[0]} cut "
+            f"{sorted(got[1] or ())} rupture {got[2]}, oracle {want[0]} cut "
+            f"{sorted(want[1] or ())} rupture {want[2]}"
+        )
+
+
 def check_response_oracle(rm: ResponseModel, plan: ReconstructionPlan) -> None:
     """Raise OracleMismatchError unless the enumeration oracle returns the
     same selected links and rupture as the solver."""
@@ -218,19 +227,6 @@ def check_response_oracle(rm: ResponseModel, plan: ReconstructionPlan) -> None:
             f"{list(plan.selected)} rupture {plan.rupture}, oracle "
             f"{list(ref.selected)} rupture {ref.rupture}"
         )
-
-
-def _safe_cuts(model: AttackModel):
-    """Budget-knapsack lifted covers, applicable only when every cut is
-    verified; unit costs usually admit no cover, which is fine."""
-    if model.budget <= 0:
-        return []
-    k = attack_budget_knapsack(model)
-    from .cuts import cuts_for_knapsack
-
-    if k.size > 24:  # verification enumerates 2^size points
-        return []
-    return cuts_for_knapsack(k)
 
 
 def sweep_budget(
@@ -245,7 +241,7 @@ def sweep_budget(
         attack_res = _designated_attack(inst)
     else:
         model = AttackModel(g, budget_a, inst.attackable_nodes())
-        attack_res = solve_attack(model, _safe_cuts(model))
+        attack_res = solve_attack(model)
     if attack_res.status != STATUS_OPTIMAL or attack_res.partition is None:
         raise InputError("budget sweep requires a solvable attack stage")
     part = attack_res.partition

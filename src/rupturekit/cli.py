@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +27,7 @@ from .errors import (
     OracleMismatchError,
     SizeLimitError,
 )
-from .graph import CutSet, components, rupture_score, worst_cut_oracle
+from .graph import CutSet, components, rupture_score
 from .response import (
     ResponseModel,
     classify_components,
@@ -133,15 +132,11 @@ def attack(instance, budget_attack, attackable, relaxed, oracle_check):
         nodes = frozenset(_parse_nodes(attackable)) or inst.attackable_nodes()
         model = AttackModel(g, budget, nodes)
         solver = solve_attack_relaxed if relaxed else solve_attack
-        res = solver(model, bench._safe_cuts(model))
+        res = solver(model)
+        if oracle_check:
+            bench.check_attack_oracle(model, res)
         if res.status != STATUS_OPTIMAL:
             raise InfeasibleError("no budget-feasible cut set exists")
-        if oracle_check:
-            ref = worst_cut_oracle(g, budget, nodes)
-            assert res.score is not None
-            if ref is None or ref[1].rupture != res.score.rupture:
-                raise OracleMismatchError(
-                    "solver disagrees with the enumeration oracle")
         click.echo(json.dumps(
             model_io.result_to_dict(Path(instance).name, attack=res),
             indent=2, sort_keys=True))
@@ -187,24 +182,14 @@ def respond(instance, cut_x, budget_response, power_constraint, oracle_check):
 @click.option("--oracle-check", is_flag=True)
 @click.option("--power-constraint", is_flag=True)
 @click.option("--csv", "as_csv", is_flag=True, help="emit the benchmark CSV table")
-@click.option("--threads", default=1, show_default=True, type=int)
-def pipeline(instances, oracle_check, power_constraint, as_csv, threads):
+def pipeline(instances, oracle_check, power_constraint, as_csv):
     """Run attack, response, and dynamic worst cut on each instance."""
     try:
         loaded = [(Path(p).name, _load(p)) for p in instances]
-
-        def run(item):
-            name, inst = item
-            return bench.run_pipeline(inst, name, oracle_check, power_constraint)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(run, loaded))
-        else:
-            outcomes = [run(item) for item in loaded]
+        outcomes = [bench.run_pipeline(inst, name, oracle_check, power_constraint)
+                    for name, inst in loaded]
         if as_csv:
             click.echo(bench.PIPELINE_CSV_HEADER)
-        # output ordered by instance index regardless of completion order
         for oc in outcomes:
             click.echo(oc.csv_row() if as_csv else oc.table_row())
         if any(oc.attack.status != STATUS_OPTIMAL for oc in outcomes):

@@ -1,17 +1,18 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rupturekit.attack import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     AttackModel,
-    attack_budget_knapsack,
     solve_attack,
     solve_attack_relaxed,
 )
 from rupturekit.bench import BenchConfig, gen_random
-from rupturekit.cuts import cuts_for_knapsack
 from rupturekit.errors import InputError
 from rupturekit.graph import Graph, worst_cut_oracle
 
@@ -72,24 +73,6 @@ class TestSolveAttack:
         cut, sc = worst_cut_oracle(g, 2.0)
         assert res.score.rupture == sc.rupture
 
-    def test_budget_cuts_do_not_change_optimum(self):
-        g = path_graph(9)
-        model = AttackModel(g, 4.0)
-        plain = solve_attack(model)
-        k = attack_budget_knapsack(model)
-        with_cuts = solve_attack(model, cuts_for_knapsack(k))
-        assert with_cuts.score.rupture == plain.score.rupture
-        assert with_cuts.cut.nodes == plain.cut.nodes
-
-    def test_rejects_unverified_cut(self):
-        from rupturekit.cuts import LiftedCoverCut
-
-        g = path_graph(4)
-        fake = LiftedCoverCut((1, 1, 1, 1), 1, 1.0, frozenset({1, 2}),
-                              frozenset())
-        with pytest.raises(InputError):
-            solve_attack(AttackModel(g, 2.0), [fake])
-
     def test_disconnected_input_rejected(self):
         g = Graph(4, [(1, 2), (3, 4)])
         with pytest.raises(InputError):
@@ -131,3 +114,48 @@ class TestAgainstOracleRandom:
                 assert res.score.rupture == ref[1].rupture
                 # full incumbent tie-break must agree with the enumeration
                 assert res.cut.nodes == ref[0].nodes
+
+
+@st.composite
+def attack_models(draw):
+    """Connected graphs on 1-8 nodes (paths, stars, cliques, random trees
+    plus extra edges), attack costs from a small palette, budgets from zero
+    to n, and an optional restricted attackable set."""
+    n = draw(st.integers(1, 8))
+    # trees drawn twice as often: they admit the most distinct cuts
+    shape = draw(st.sampled_from(["path", "star", "clique", "tree", "tree"]))
+    if shape == "path":
+        edges = [(v, v + 1) for v in range(1, n)]
+    elif shape == "star":
+        edges = [(1, v) for v in range(2, n + 1)]
+    elif shape == "clique":
+        edges = list(combinations(range(1, n + 1), 2))
+    else:
+        edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+        others = [p for p in combinations(range(1, n + 1), 2) if p not in edges]
+        if others:
+            edges += draw(st.lists(st.sampled_from(others), max_size=n,
+                                   unique=True))
+    costs = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                          min_size=n, max_size=n))
+    g = Graph(n, edges, attack_cost=costs)
+    budget = draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, float(n // 2), float(n)]))
+    attackable = draw(st.one_of(
+        st.just(frozenset()),
+        st.frozensets(st.integers(1, n), min_size=1)))
+    return AttackModel(g, budget, attackable)
+
+
+class TestSolverMatchesOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(attack_models())
+    def test_same_cut_as_oracle(self, model):
+        ref = worst_cut_oracle(model.graph, model.budget, model.attackable)
+        for res in (solve_attack(model), solve_attack_relaxed(model)):
+            if ref is None:
+                assert res.status == STATUS_INFEASIBLE
+                assert res.cut is None
+            else:
+                assert res.status == STATUS_OPTIMAL
+                assert res.cut.nodes == ref[0].nodes
+                assert res.score.rupture == ref[1].rupture

@@ -30,14 +30,31 @@ class TestAttackCommand:
             "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
             "BUDGETS\nattack 1.000000\nATTACK\ntargeted\nEND\n"
         )
-        res = runner.invoke(main, ["attack", str(k4)])
-        assert res.exit_code == 2
+        for flags in ([], ["--oracle-check"]):
+            res = runner.invoke(main, ["attack", str(k4), *flags])
+            assert res.exit_code == 2, res.output
 
     def test_input_error_exit_code(self, runner, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("FORMAT wrong 1\n")
         res = runner.invoke(main, ["attack", str(bad)])
         assert res.exit_code == 3
+
+    def test_oracle_mismatch_exit_code(self, runner, nine_node_path,
+                                       monkeypatch):
+        real = bench.worst_cut_oracle
+
+        def other_cut(g, budget, attackable):
+            # same rupture, another cut: the check must compare the cut
+            cut, score = real(g, budget, attackable)
+            assert cut.nodes == {5}
+            return replace(cut, nodes=frozenset({4})), score
+
+        monkeypatch.setattr(bench, "worst_cut_oracle", other_cut)
+        res = runner.invoke(main, ["attack", str(nine_node_path),
+                                   "--oracle-check"])
+        assert res.exit_code == 5
+        assert "disagrees with the oracle" in res.output
 
     def test_missing_file(self, runner):
         res = runner.invoke(main, ["attack", "missing.txt"])
@@ -154,14 +171,16 @@ class TestPipelineCommand:
                             "x_dyn_size,res_dynamic")
         assert lines[1].startswith("nine_node.txt,9,9,")
 
-    def test_threaded_output_ordered(self, runner, nine_node_path, ieee14_path):
-        args = ["pipeline", str(nine_node_path), str(ieee14_path),
-                "--csv", "--threads", "2"]
-        res = runner.invoke(main, args)
-        assert res.exit_code == 0, res.output
-        lines = res.output.strip().splitlines()
-        assert lines[1].startswith("nine_node.txt,")
-        assert lines[2].startswith("ieee14.txt,")
+    def test_rows_follow_argument_order(self, runner, nine_node_path,
+                                        ieee14_path):
+        for paths, names in (
+            ((nine_node_path, ieee14_path), ("nine_node.txt", "ieee14.txt")),
+            ((ieee14_path, nine_node_path), ("ieee14.txt", "nine_node.txt")),
+        ):
+            res = runner.invoke(main, ["pipeline", *map(str, paths), "--csv"])
+            assert res.exit_code == 0, res.output
+            rows = res.output.strip().splitlines()[1:]
+            assert tuple(row.split(",")[0] for row in rows) == names
 
 
 class TestSweepCommand:
