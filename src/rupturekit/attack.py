@@ -100,6 +100,14 @@ def solve_attack(model: AttackModel) -> AttackResult:
     incumbents appear early.  The attack budget is enforced exactly on every
     removal branch, so no knapsack cut over the removal indicators can prune
     a partial removal that this test admits.
+
+    Each search node carries the kept set K (the intact nodes plus every
+    node decided "keep") as its component masks, its largest component
+    size m(K) and its neighbour mask N(K).  Keeping a node merges it with
+    the components it touches; removing one leaves the state as it is, so
+    no node recomputes components, and at a leaf K is the surviving graph.
+    The bound counts only the undecided nodes outside N(K) as possible new
+    components: an undecided survivor next to K joins a kept component.
     """
     g = model.graph
     if not g.is_connected():
@@ -108,68 +116,79 @@ def solve_attack(model: AttackModel) -> AttackResult:
     stats = SolverStats()
     order = sorted(model.attackable, key=lambda v: (-g.degree(v), v))
     adj = g._adj
-    full = g._full_mask
     budget = model.budget
     cost = g.attack_cost
+    # undecided[idx] is the mask of order[idx:]
+    undecided = [0] * (len(order) + 1)
+    for idx in range(len(order) - 1, -1, -1):
+        undecided[idx] = undecided[idx + 1] | 1 << (order[idx] - 1)
 
     # best = (rupture, |X|, sorted node tuple)
     best: list[Optional[tuple[int, int, tuple[int, ...]]]] = [None]
 
-    def kept_stats(kept_mask: int) -> tuple[int, int]:
-        masks = _component_masks(adj, kept_mask)
-        if not masks:
-            return 0, 0
-        return max(m.bit_count() for m in masks), len(masks)
-
-    def leaf(removed_mask: int) -> None:
-        alive = full & ~removed_mask
-        if alive == 0:
-            return
-        masks = _component_masks(adj, alive)
-        omega = len(masks)
-        if not (omega >= 2 or alive.bit_count() == 1):
+    def leaf(removed_mask: int, comps: list[int], m_k: int) -> None:
+        # every node is decided, so the survivors are exactly K
+        omega = len(comps)
+        if not (omega >= 2 or (omega == 1 and m_k == 1)):
             return  # not a cut set
-        m = max(mm.bit_count() for mm in masks)
         size = removed_mask.bit_count()
-        cand = (-size - m + omega, size, tuple(_mask_to_nodes(removed_mask)))
+        cand = (-size - m_k + omega, size, tuple(_mask_to_nodes(removed_mask)))
         b = best[0]
         if b is None or (-cand[0], cand[1], cand[2]) < (-b[0], b[1], b[2]):
             best[0] = cand
 
-    def dfs(idx: int, removed_mask: int, kept_mask: int, spent: float) -> None:
+    def dfs(idx: int, removed_mask: int, spent: float,
+            comps: list[int], m_k: int, nbr_k: int) -> None:
         stats.nodes_explored += 1
         b = best[0]
         if b is not None:
-            # Admissible bound.  With f nodes removed so far, kept set K and
-            # u undecided nodes, any completion removes t >= 0 more nodes,
-            # so |X| = f + t.  Components of the subgraph induced on K stay
-            # connected in any completion, hence m >= max(1, m(K)); each
-            # undecided survivor adds at most one new component, hence
-            # omega <= comp(K) + (u - t).  Therefore
-            #   r <= -(f+t) - max(1, m(K)) + comp(K) + u - t
+            # Admissible bound.  With f nodes removed so far, kept set K
+            # and u undecided nodes outside N(K), any completion removes
+            # t >= 0 more nodes, so |X| = f + t.  Components of the
+            # subgraph induced on K stay connected in any completion, hence
+            # m >= max(1, m(K)).  A surviving component without a node of
+            # K holds no node of N(K), since such a node is joined to K, so
+            # it holds one of the u - t' surviving undecided nodes outside
+            # N(K), where t' <= t of those u are removed; at most comp(K)
+            # components hold a node of K.  Hence omega <= comp(K) + u - t'
+            # and
+            #   r <= -(f+t) - max(1, m(K)) + comp(K) + u - t'
             #     <= -f - max(1, m(K)) + comp(K) + u.
             f = removed_mask.bit_count()
-            m_k, comp_k = kept_stats(kept_mask)
-            u = len(order) - idx
-            bound = -f - max(1, m_k) + comp_k + u
+            u = (undecided[idx] & ~nbr_k).bit_count()
+            bound = -f - max(1, m_k) + len(comps) + u
             # equal-bound subtrees with f > |best X| cannot improve the
             # cardinality-then-lex tie-break
             if bound < b[0] or (bound == b[0] and f > b[1]):
                 return
         if idx == len(order):
-            leaf(removed_mask)
+            leaf(removed_mask, comps, m_k)
             return
         v = order[idx]
         bit = 1 << (v - 1)
         # branch: remove v
         new_spent = spent + cost[v - 1]
         if new_spent <= budget + BUDGET_TOL:
-            dfs(idx + 1, removed_mask | bit, kept_mask, new_spent)
-        # branch: keep v
-        dfs(idx + 1, removed_mask, kept_mask | bit, spent)
+            dfs(idx + 1, removed_mask | bit, new_spent, comps, m_k, nbr_k)
+        # branch: keep v, merged with every kept component it touches
+        adj_v = adj[v]
+        merged = bit
+        kept = []
+        for c in comps:
+            if c & adj_v:
+                merged |= c
+            else:
+                kept.append(c)
+        kept.append(merged)
+        dfs(idx + 1, removed_mask, spent, kept,
+            max(m_k, merged.bit_count()), nbr_k | adj_v)
 
-    intact_mask = _nodes_to_mask(model.intact)
-    dfs(0, 0, intact_mask, 0.0)
+    intact = model.intact
+    comps = _component_masks(adj, _nodes_to_mask(intact))
+    nbr = 0
+    for v in intact:
+        nbr |= adj[v]
+    dfs(0, 0, 0.0, comps, max((c.bit_count() for c in comps), default=0), nbr)
     stats.wall_time = time.perf_counter() - start
 
     if best[0] is None:

@@ -115,6 +115,41 @@ class TestAgainstOracleRandom:
                 # full incumbent tie-break must agree with the enumeration
                 assert res.cut.nodes == ref[0].nodes
 
+    def test_pruning_sizes(self):
+        # n=12-18 with budgets 2-4 is where the bound prunes most of the
+        # tree; restricted attackable sets seed K with intact components
+        rng = random.Random(23)
+        config = BenchConfig(seed=23, count=30, n_min=12, n_max=18)
+        for i, inst in enumerate(gen_random(config)):
+            n = inst.n
+            costs = inst.attack_cost
+            if i % 2:
+                costs = [rng.choice([0.5, 1.0, 2.0, 3.0]) for _ in range(n)]
+            attackable = frozenset()
+            if i % 3 == 0:
+                attackable = frozenset(rng.sample(range(1, n + 1), n * 2 // 3))
+            g = Graph(n, inst.edges, attack_cost=costs)
+            budget = float(rng.randint(2, 4))
+            res = solve_attack(AttackModel(g, budget, attackable))
+            ref = worst_cut_oracle(g, budget, attackable or None)
+            if ref is None:
+                assert res.status == STATUS_INFEASIBLE
+            else:
+                assert res.status == STATUS_OPTIMAL
+                assert res.cut.nodes == ref[0].nodes
+                assert res.score.rupture == ref[1].rupture
+
+
+class TestSearchCounter:
+    def test_nodes_explored_pinned(self):
+        # exact and deterministic; 33,334 nodes with the bound that counted
+        # every undecided node as a possible new component.  A looser bound
+        # raises this count.
+        inst = gen_random(BenchConfig(seed=7, count=1, n_min=20, n_max=20))[0]
+        res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
+        assert res.cut.nodes == frozenset({6, 7, 11, 16, 17, 19})
+        assert res.stats.nodes_explored == 7870
+
 
 @st.composite
 def attack_models(draw):
