@@ -26,7 +26,7 @@ MIP_FORMAT_VERSION = 1
 ATTACK_TYPES = ("targeted", "designated", "random", "distributed")
 
 EXPORT_EPSILON = 1e-3
-EXPORT_MAX_NODES = 200
+EXPORT_MAX_ROWS = 2_000_000
 
 
 class InstanceFormatError(InputError):
@@ -336,28 +336,19 @@ def _fmt(coef: float) -> str:
     return f"{coef:.6f}"
 
 
+def _term(coef: float, var: Optional[str]) -> str:
+    """One signed term; a constant (var None) always shows its magnitude."""
+    sign = "-" if coef < 0 else "+"
+    if var is None:
+        return f"{sign} {_fmt(abs(coef))}"
+    return f"{sign} {var}" if abs(coef) == 1 else f"{sign} {_fmt(abs(coef))} {var}"
+
+
 def _expr(terms: Sequence[tuple[float, str]], constant: float = 0.0) -> str:
-    parts = []
-    for coef, var in terms:
-        if coef == 0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        if mag == 1:
-            parts.append(f"{sign} {var}")
-        else:
-            parts.append(f"{sign} {_fmt(mag)} {var}")
-    if constant != 0:
-        sign = "-" if constant < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(constant))}")
-    if not parts:
+    text = " ".join([_term(c, v) for c, v in [*terms, (constant, None)] if c != 0])
+    if not text:
         return "0"
-    first = parts[0]
-    if first.startswith("+ "):
-        first = first[2:]
-    elif first.startswith("- "):
-        first = "-" + first[2:]
-    return " ".join([first] + parts[1:])
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 class _LpWriter:
@@ -395,6 +386,26 @@ class _LpWriter:
         return "\n".join(out) + "\n"
 
 
+def export_row_count(which: str, n: int, part: Optional[ComponentPartition] = None,
+                     loads: int = 0) -> int:
+    """Rows under `Subject To` in the export, known before any text is
+    built: from `n` for the attack, from the surviving components `part`
+    for the response, and for the reduced model also from the number of
+    load-only components that get a power row."""
+    if which == "attack":
+        return 4 * n + 1 + math.comb(n, 2) * (2 * n + 2)
+    s, r = part.count, sum(part.sizes)
+    if which == "response":
+        cross_pairs = (r * r - sum(k * k for k in part.sizes)) // 2
+        return 3 * s + 2 + r * r + cross_pairs * (3 * s + 2)
+    return 2 * s + 2 + math.comb(loads, 2)
+
+
+def _check_rows(rows: int) -> None:
+    if rows > EXPORT_MAX_ROWS:
+        raise SizeLimitError(f"{rows} rows exceed the export cap {EXPORT_MAX_ROWS}")
+
+
 def export_mip(
     inst: InstanceFile,
     which: str,
@@ -404,108 +415,99 @@ def export_mip(
     """Render the chosen formulation as deterministic LP-style text.
 
     `which` is one of 'attack', 'response', 'reduced'; the latter two
-    require the realized cut set to derive the surviving components.
+    require the realized cut set to derive the surviving components, and
+    only 'reduced' takes the power rule.
     """
-    if inst.n > EXPORT_MAX_NODES:
-        raise SizeLimitError(
-            f"{inst.n} nodes exceed the export cap {EXPORT_MAX_NODES}"
-        )
+    if which not in ("attack", "response", "reduced"):
+        raise InputError(f"unknown formulation {which!r}")
+    if power and which != "reduced":
+        raise InputError(f"{which} export takes no power constraint")
     if which == "attack":
+        if cut is not None:
+            raise InputError("attack export takes no cut set")
         return _export_attack(inst)
-    if which in ("response", "reduced"):
-        if cut is None:
-            raise InputError(f"{which} export requires the realized cut set")
-        g = inst.to_graph()
-        part = components(g, cut)
-        if which == "response":
-            return _export_response(inst, sorted(cut), part)
-        return _export_reduced(inst, sorted(cut), part, power)
-    raise InputError(f"unknown formulation {which!r}")
+    if cut is None:
+        raise InputError(f"{which} export requires the realized cut set")
+    cut = sorted(set(cut))
+    part = components(inst.to_graph(), cut)
+    if which == "response":
+        return _export_response(inst, cut, part)
+    return _export_reduced(inst, cut, part, power)
 
 
 def _export_attack(inst: InstanceFile) -> str:
     n = inst.n
-    c_count = n  # one potential component per node
+    _check_rows(export_row_count("attack", n))
+    nodes = range(1, n + 1)  # the nodes, and one potential component per node
     g = inst.to_graph()
-    adj = {(i, j): (1 if g.has_edge(i, j) else 0)
-           for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
     attackable = inst.attackable_nodes()
     w = _LpWriter("Maximize", [
         f"rupturekit mip export v{MIP_FORMAT_VERSION}",
         "formulation: attack",
         f"attack_type: {inst.attack_type}",
     ])
+    v = [[]] + [[f"v_{i}_{c}" for c in nodes] for i in nodes]  # v[i][c - 1]
 
-    def v(i, c):
-        return f"v_{i}_{c}"
-
-    def y(i, j):
-        return f"y_{i}_{j}"
-
-    obj = [(1.0, v(i, c)) for i in range(1, n + 1) for c in range(1, c_count + 1)]
+    obj = [(1.0, x) for i in nodes for x in v[i]]
     obj.append((-1.0, "alphaA"))
-    obj.extend((1.0, f"bA_{c}") for c in range(1, c_count + 1))
+    obj.extend((1.0, f"bA_{c}") for c in nodes)
     w.objective(obj, constant=-float(n))
 
-    for i in range(1, n + 1):
-        terms = [(1.0, v(i, c)) for c in range(1, c_count + 1)]
+    for i in nodes:
+        terms = [(1.0, x) for x in v[i]]
         if i in attackable:
             w.row(f"r4b_{i}", terms, "<=", 1.0)
         else:
             # intact nodes stay active: the assignment row becomes an equality
             w.row(f"r20b_{i}", terms, "=", 1.0)
-    for c in range(1, c_count + 1):
-        w.row(f"r4c_{c}",
-              [(1.0, v(i, c)) for i in range(1, n + 1)] + [(-1.0, "alphaA")],
+    for c in nodes:
+        w.row(f"r4c_{c}", [(1.0, v[i][c - 1]) for i in nodes] + [(-1.0, "alphaA")],
               "<=", 0.0)
-    for c in range(1, c_count + 1):
-        w.row(f"r4d_{c}",
-              [(1.0, f"bA_{c}")] + [(-1.0, v(i, c)) for i in range(1, n + 1)],
+    for c in nodes:
+        w.row(f"r4d_{c}", [(1.0, f"bA_{c}")] + [(-1.0, v[i][c - 1]) for i in nodes],
               "<=", 0.0)
-    for i in range(1, n + 1):
-        terms = [(1.0, y(i, j)) for j in range(1, n + 1) if j != i]
-        terms += [(-(n - 1.0), v(i, c)) for c in range(1, c_count + 1)]
+    for i in nodes:
+        terms = [(1.0, f"y_{i}_{j}") for j in nodes if j != i]
+        terms += [(-(n - 1.0), x) for x in v[i]]
         w.row(f"r4e_{i}", terms, "<=", 0.0)
     budget = inst.budget_attack if inst.budget_attack is not None else 0.0
-    total_cost = sum(inst.attack_cost)
-    w.row("r4f",
-          [(-inst.attack_cost[i - 1], v(i, c))
-           for i in range(1, n + 1) for c in range(1, c_count + 1)],
-          "<=", budget - total_cost)
-    for i, j in combinations(range(1, n + 1), 2):
-        w.row(f"r4g_{i}_{j}", [(1.0, y(i, j)), (-1.0, y(j, i))], "=", 0.0)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i <= j:
-                continue
-            a = float(adj[(i, j)])
-            terms = [(a, v(i, c)) for c in range(1, c_count + 1)]
-            terms += [(a, v(j, c)) for c in range(1, c_count + 1)]
-            terms.append((-1.0, y(i, j)))
-            w.row(f"r4h_{i}_{j}", terms, "<=", a)
-            for c in range(1, c_count + 1):
-                w.row(f"r4i_{i}_{j}_{c}",
-                      [(1.0, y(i, j)), (a, v(i, c)), (-a, v(j, c))], "<=", a)
-                w.row(f"r4j_{i}_{j}_{c}",
-                      [(1.0, y(i, j)), (-a, v(i, c)), (a, v(j, c))], "<=", a)
+    w.row("r4f", [(-inst.attack_cost[i - 1], x) for i in nodes for x in v[i]],
+          "<=", budget - sum(inst.attack_cost))
+    # the n^3 unit-coefficient rows are appended as the lines _expr would
+    # render, with each name built once; data-dependent rows use w.row
+    rows = w.rows
+    rows.extend(f" r4g_{i}_{j}: y_{i}_{j} - y_{j}_{i} = 0.000000"
+                for i, j in combinations(nodes, 2))
+    for i in nodes:
+        for j in range(1, i):
+            y = f"y_{i}_{j}"
+            if g.has_edge(i, j):
+                w.row(f"r4h_{i}_{j}", [(1.0, x) for x in v[i] + v[j]] + [(-1.0, y)],
+                      "<=", 1.0)
+                for c, vi, vj in zip(nodes, v[i], v[j]):
+                    rows.append(f" r4i_{i}_{j}_{c}: {y} + {vi} - {vj} <= 1.000000")
+                    rows.append(f" r4j_{i}_{j}_{c}: {y} - {vi} + {vj} <= 1.000000")
+            else:
+                rows.append(f" r4h_{i}_{j}: -{y} <= 0.000000")
+                for c in nodes:
+                    rows.append(f" r4i_{i}_{j}_{c}: {y} <= 0.000000")
+                    rows.append(f" r4j_{i}_{j}_{c}: {y} <= 0.000000")
 
-    for i in range(1, n + 1):
-        for c in range(1, c_count + 1):
-            w.binaries.append(v(i, c))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                w.binaries.append(y(i, j))
-    for c in range(1, c_count + 1):
-        w.binaries.append(f"bA_{c}")
+    for i in nodes:
+        w.binaries.extend(v[i])
+    w.binaries.extend(f"y_{i}_{j}" for i in nodes for j in nodes if i != j)
+    w.binaries.extend(f"bA_{c}" for c in nodes)
     w.generals.append("alphaA")
     return w.render()
 
 
 def _export_response(inst: InstanceFile, cut: list[int],
                      part: ComponentPartition) -> str:
-    n_r = [v for v in range(1, inst.n + 1) if v not in set(cut)]
     s = part.count
+    if s == 0:
+        raise InputError("response export needs a surviving node")
+    _check_rows(export_row_count("response", inst.n, part))
+    n_r = sorted(set(range(1, inst.n + 1)).difference(cut))
     big_m = float(inst.n + 1)
     eps = EXPORT_EPSILON
     budget = inst.budget_response
@@ -516,9 +518,7 @@ def _export_response(inst: InstanceFile, cut: list[int],
         "formulation: response",
         f"cut: {' '.join(str(v) for v in cut)}",
     ])
-
-    def v(i, c):
-        return f"vR_{i}_{c}"
+    v = {i: [f"vR_{i}_{c}" for c in range(1, s + 1)] for i in n_r}  # v[i][c - 1]
 
     obj = [(-1.0, "alphaR")]
     obj.extend((1.0, f"bR_{c}") for c in range(1, s + 1))
@@ -527,16 +527,16 @@ def _export_response(inst: InstanceFile, cut: list[int],
 
     for c in range(1, s + 1):
         w.row(f"r7b_lo_{c}",
-              [(1.0, v(i, c)) for i in n_r] + [(-1.0, "alphaR")], "<=", 0.0)
+              [(1.0, v[i][c - 1]) for i in n_r] + [(-1.0, "alphaR")], "<=", 0.0)
         w.row(f"r7b_hi_{c}",
-              [(1.0, "alphaR")] + [(-1.0, v(i, c)) for i in n_r]
+              [(1.0, "alphaR")] + [(-1.0, v[i][c - 1]) for i in n_r]
               + [(big_m, f"tR_{c}")], "<=", big_m)
     w.row("r7c", [(1.0, f"tR_{c}") for c in range(1, s + 1)], ">=", 1.0)
     for i in n_r:
-        w.row(f"r7d_{i}", [(1.0, v(i, c)) for c in range(1, s + 1)], "=", 1.0)
+        w.row(f"r7d_{i}", [(1.0, x) for x in v[i]], "=", 1.0)
     for c in range(1, s + 1):
         w.row(f"r7e_{c}",
-              [(1.0, v(i, c)) for i in n_r] + [(-float(len(n_r)), f"bR_{c}")],
+              [(1.0, v[i][c - 1]) for i in n_r] + [(-float(len(n_r)), f"bR_{c}")],
               "<=", 0.0)
     budget_terms = []
     for i, j in combinations(n_r, 2):
@@ -544,45 +544,32 @@ def _export_response(inst: InstanceFile, cut: list[int],
         if d is not None:
             budget_terms.append((d, f"yR_{i}_{j}"))
     w.row("r7f", budget_terms, "<=", budget)
+    # the unit-coefficient row families are written as their LP lines
+    rows = w.rows
     for i, j in combinations(n_r, 2):
-        w.row(f"r7g_{i}_{j}", [(1.0, f"yR_{i}_{j}"), (-1.0, f"yR_{j}_{i}")], "=", 0.0)
-        w.row(f"r7h_{i}_{j}", [(1.0, f"qR_{i}_{j}"), (-1.0, f"qR_{j}_{i}")], "=", 0.0)
+        rows.append(f" r7g_{i}_{j}: yR_{i}_{j} - yR_{j}_{i} = 0.000000")
+        rows.append(f" r7h_{i}_{j}: qR_{i}_{j} - qR_{j}_{i} = 0.000000")
     for cm, cn in combinations(range(1, s + 1), 2):
         vm, vn = part.components[cm - 1], part.components[cn - 1]
         bridge = [(1.0, f"yR_{u}_{wv}") for u in vm for wv in vn]
         for i in vm:
             for j in vn:
+                q = f"qR_{i}_{j}"
                 w.row(f"r7i_lo_{cm}_{cn}_{i}_{j}",
-                      [(1.0, f"qR_{i}_{j}")] + [(-c, var) for c, var in bridge],
-                      "<=", 0.0)
+                      [(1.0, q)] + [(-c, var) for c, var in bridge], "<=", 0.0)
                 w.row(f"r7i_hi_{cm}_{cn}_{i}_{j}",
-                      bridge + [(-big_m, f"qR_{i}_{j}")], "<=", 0.0)
-                for k in range(1, s + 1):
-                    w.row(f"r7j_{i}_{j}_{k}",
-                          [(1.0, v(i, k)), (1.0, v(j, k)), (-1.0, f"qR_{i}_{j}")],
-                          "<=", 1.0)
-                    w.row(f"r7k_{i}_{j}_{k}",
-                          [(1.0, f"qR_{i}_{j}"), (1.0, v(i, k)), (-1.0, v(j, k))],
-                          "<=", 1.0)
-                    w.row(f"r7l_{i}_{j}_{k}",
-                          [(1.0, f"qR_{i}_{j}"), (-1.0, v(i, k)), (1.0, v(j, k))],
-                          "<=", 1.0)
+                      bridge + [(-big_m, q)], "<=", 0.0)
+                for k, vi, vj in zip(range(1, s + 1), v[i], v[j]):
+                    rows.append(f" r7j_{i}_{j}_{k}: {vi} + {vj} - {q} <= 1.000000")
+                    rows.append(f" r7k_{i}_{j}_{k}: {q} + {vi} - {vj} <= 1.000000")
+                    rows.append(f" r7l_{i}_{j}_{k}: {q} - {vi} + {vj} <= 1.000000")
 
     for i in n_r:
-        for c in range(1, s + 1):
-            w.binaries.append(v(i, c))
-    for i in n_r:
-        for j in n_r:
-            if i != j:
-                w.binaries.append(f"yR_{i}_{j}")
-    for i in n_r:
-        for j in n_r:
-            if i != j:
-                w.binaries.append(f"qR_{i}_{j}")
-    for c in range(1, s + 1):
-        w.binaries.append(f"bR_{c}")
-    for c in range(1, s + 1):
-        w.binaries.append(f"tR_{c}")
+        w.binaries.extend(v[i])
+    w.binaries.extend(f"yR_{i}_{j}" for i in n_r for j in n_r if i != j)
+    w.binaries.extend(f"qR_{i}_{j}" for i in n_r for j in n_r if i != j)
+    w.binaries.extend(f"bR_{c}" for c in range(1, s + 1))
+    w.binaries.extend(f"tR_{c}" for c in range(1, s + 1))
     w.generals.append("alphaR")
     return w.render()
 
@@ -595,6 +582,10 @@ def _export_reduced(inst: InstanceFile, cut: list[int],
     s = part.count
     if s < 2:
         raise InputError("reduced export needs a disconnected attacked network")
+    classes = classify_components(g, part) if power else ()
+    gens = [m for m, label in enumerate(classes, 1) if label == "has-generator"]
+    loads = [m for m, label in enumerate(classes, 1) if label == "load-only"]
+    _check_rows(export_row_count("reduced", inst.n, part, len(loads)))
     flat = flatten(s)
     mc = mceic_matrix(g, part)
     big_m = float(inst.n + 1)
@@ -631,16 +622,12 @@ def _export_reduced(inst: InstanceFile, cut: list[int],
           [(mc.cost[flat.unsigma(z)], f"xhat_{z}")
            for z in range(1, flat.length + 1)],
           "<=", budget)
-    if power:
-        classes = classify_components(g, part)
-        gens = [i for i in range(1, s + 1) if classes[i - 1] == "has-generator"]
-        loads = [i for i in range(1, s + 1) if classes[i - 1] == "load-only"]
-        for m, nn in combinations(loads, 2):
-            terms = [(1.0, f"xhat_{flat.sigma(m, nn)}")]
-            for i in gens:
-                terms.append((-1.0, f"xhat_{flat.sigma(min(m, i), max(m, i))}"))
-                terms.append((-1.0, f"xhat_{flat.sigma(min(nn, i), max(nn, i))}"))
-            w.row(f"r21_{m}_{nn}", terms, "<=", 0.0)
+    for m, nn in combinations(loads, 2):
+        terms = [(1.0, f"xhat_{flat.sigma(m, nn)}")]
+        for i in gens:
+            terms.append((-1.0, f"xhat_{flat.sigma(min(m, i), max(m, i))}"))
+            terms.append((-1.0, f"xhat_{flat.sigma(min(nn, i), max(nn, i))}"))
+        w.row(f"r21_{m}_{nn}", terms, "<=", 0.0)
 
     for z in range(1, flat.length + 1):
         w.binaries.append(f"xhat_{z}")

@@ -213,6 +213,38 @@ class TestExportCommand:
                                    "--formulation", "response"])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("formulation", ["response", "reduced"])
+    def test_duplicate_cut_nodes_same_text(self, runner, nine_node_path,
+                                           formulation):
+        args = ["export-mip", str(nine_node_path), "--formulation", formulation]
+        once = runner.invoke(main, [*args, "--cut-x", "5"])
+        twice = runner.invoke(main, [*args, "--cut-x", "5,5"])
+        assert once.exit_code == 0, once.output
+        assert twice.output == once.output
+
+    def test_no_surviving_node_is_input_error(self, runner, nine_node_path):
+        res = runner.invoke(main, ["export-mip", str(nine_node_path),
+                                   "--formulation", "response",
+                                   "--cut-x", "1,2,3,4,5,6,7,8,9"])
+        assert res.exit_code == 3
+        assert "surviving node" in res.output
+
+    @pytest.mark.parametrize("flags", [
+        ["--formulation", "attack", "--cut-x", "5"],
+        ["--formulation", "attack", "--power-constraint"],
+        ["--formulation", "response", "--cut-x", "5", "--power-constraint"],
+    ])
+    def test_ignored_option_is_input_error(self, runner, nine_node_path, flags):
+        res = runner.invoke(main, ["export-mip", str(nine_node_path), *flags])
+        assert res.exit_code == 3
+
+    def test_reduced_power_constraint_accepted(self, runner, ieee14_path):
+        res = runner.invoke(main, ["export-mip", str(ieee14_path),
+                                   "--formulation", "reduced",
+                                   "--cut-x", "2,4,6,9", "--power-constraint"])
+        assert res.exit_code == 0, res.output
+        assert " r21_4_5: " in res.output
+
 
 class TestCutsCommand:
     def test_fixture_knapsack(self, runner):

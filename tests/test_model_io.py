@@ -1,18 +1,25 @@
+import dataclasses
+import hashlib
 import json
 import math
 
 import pytest
 
+from rupturekit import bench
 from rupturekit.attack import AttackModel, solve_attack
 from rupturekit.errors import InputError, SizeLimitError
+from rupturekit.graph import components
 from rupturekit.model_io import (
+    EXPORT_MAX_ROWS,
     InstanceFile,
     InstanceFormatError,
     emit_instance,
     export_mip,
+    export_row_count,
     parse_instance,
     result_to_json,
 )
+from rupturekit.response import classify_components
 
 MINIMAL = """\
 FORMAT rupturekit-instance 1
@@ -113,11 +120,7 @@ class TestExportMip:
         assert " r4f: " in a
 
     def test_attack_export_distributed_rows(self, nine_node):
-        import dataclasses
-
-        dist = dataclasses.replace(nine_node, attack_type="distributed",
-                                   attack_nodes=(1, 5))
-        text = export_mip(dist, "attack")
+        text = export_mip(_distributed_nine(nine_node), "attack")
         assert " r20b_2: " in text  # intact node pinned active
         assert " r4b_1: " in text
 
@@ -151,3 +154,71 @@ class TestExportMip:
         big = InstanceFile(201, ((1, 2),), (1.0,) * 201, {})
         with pytest.raises(SizeLimitError):
             export_mip(big, "attack")
+
+    def test_size_guard_counts_attack_rows(self):
+        assert export_row_count("attack", 60) == 216_181
+        assert export_row_count("attack", 125) <= EXPORT_MAX_ROWS
+        assert export_row_count("attack", 126) > EXPORT_MAX_ROWS
+
+
+def _random_weighted():
+    """n=12 with attack costs from {0, 0.5, 1, 2, 3.25} (zero costs drop
+    terms from r4f) and finite attack and response budgets."""
+    inst = bench.gen_random(bench.BenchConfig(
+        seed=5, n_min=12, n_max=12, budget_attack=2.5, budget_response=6.0))[0]
+    costs = tuple((0.0, 0.5, 1.0, 2.0, 3.25)[k % 5] for k in range(inst.n))
+    return dataclasses.replace(inst, attack_cost=costs)
+
+
+def _distributed_nine(nine_node):
+    return dataclasses.replace(nine_node, attack_type="distributed",
+                               attack_nodes=(1, 5))
+
+
+# SHA-256 of the exported text, pinned so a rewrite of the renderer must
+# keep every byte.  The random cut leaves four components.
+EXPORT_DIGESTS = [
+    ("nine_node", "attack", None, False,
+     "d241701a0992636348cf86a0a3102873d379f9ab58d6b14ddd76f446dd5813a6"),
+    ("nine_node", "response", [5], False,
+     "cb3183c8449030f55e924e85da8caee61733a009666e80f13148116b01601c0f"),
+    ("nine_node", "reduced", [5], False,
+     "205e8c895f9aa30005fc6d6c87a026a89f39d587f785bac6b72f775439b4258d"),
+    ("ieee14", "reduced", [2, 4, 6, 9], True,
+     "3a61721f5079ff8c71f1366afd32c9a74eeb8876bdd614f8500eae7be0f849b1"),
+    ("distributed", "attack", None, False,
+     "d4b99d0dc9e427cd5e21ed2af28e8b0e2ced969b69fb794d753f95eefc136edc"),
+    ("random", "attack", None, False,
+     "5fb34194f8f99cf6abfb9039258790eb5dc3fd0cf3c4872dff066160c48eb63a"),
+    ("random", "response", [3, 4, 6, 11, 12], False,
+     "e282a0f70626a9530e7202789a4dac54aef1b2ad56a1188c0d3f64bc952651a8"),
+    ("random", "reduced", [3, 4, 6, 11, 12], False,
+     "1c572b94e88c16a5e6d8bc0b2fa65816152ac8e4fa1f5b68942dde09d4b152ec"),
+]
+
+
+def _export_case(request, name):
+    if name == "distributed":
+        return _distributed_nine(request.getfixturevalue("nine_node"))
+    if name == "random":
+        return _random_weighted()
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name,which,cut,power,digest", EXPORT_DIGESTS)
+def test_export_bytes_pinned(request, name, which, cut, power, digest):
+    text = export_mip(_export_case(request, name), which, cut, power)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,which,cut,power,digest", EXPORT_DIGESTS)
+def test_export_row_count_matches_text(request, name, which, cut, power, digest):
+    inst = _export_case(request, name)
+    lines = export_mip(inst, which, cut, power).splitlines()
+    start = lines.index("Subject To") + 1
+    end = next(k for k in range(start, len(lines)) if not lines[k].startswith(" "))
+    part = components(inst.to_graph(), cut or ())
+    loads = 0
+    if power:
+        loads = classify_components(inst.to_graph(), part).count("load-only")
+    assert export_row_count(which, inst.n, part, loads) == end - start
