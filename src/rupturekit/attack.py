@@ -92,8 +92,20 @@ class AttackResult:
         return None if self.score is None else self.score.rupture
 
 
+def _is_simplicial(adj: list[int], v: int) -> bool:
+    """True when the neighbours of v are pairwise adjacent."""
+    nbrs = adj[v]
+    rest = nbrs
+    while rest:
+        low = rest & -rest
+        if nbrs & ~low & ~adj[low.bit_length()]:
+            return False
+        rest ^= low
+    return True
+
+
 def solve_attack(model: AttackModel) -> AttackResult:
-    """Global maximizer of r = -|X| - m + w over budget-feasible cut sets.
+    r"""Global maximizer of r = -|X| - m + w over budget-feasible cut sets.
 
     Depth-first branch-and-bound on remove/keep decisions.  Branching order
     is descending degree then index; removal is tried first so good
@@ -101,26 +113,42 @@ def solve_attack(model: AttackModel) -> AttackResult:
     removal branch, so no knapsack cut over the removal indicators can prune
     a partial removal that this test admits.
 
-    Each search node carries the kept set K (the intact nodes plus every
-    node decided "keep") as its component masks, its largest component
+    Each search node carries the kept set K (the intact and simplicial
+    nodes plus every node decided "keep") as its component masks, its largest component
     size m(K) and its neighbour mask N(K).  Keeping a node merges it with
     the components it touches; removing one leaves the state as it is, so
     no node recomputes components, and at a leaf K is the surviving graph.
     The bound counts only the undecided nodes outside N(K) as possible new
     components: an undecided survivor next to K joins a kept component.
+    The remove branch recurses and the keep branch loops, so the recursion
+    depth is the number of removals plus one.
+
+    Simplicial nodes, whose neighbours are pairwise adjacent (every
+    degree-1 node is one), are never branched on: attackable ones are kept
+    from the start, like intact nodes.  This is exact.  Let X be a cut set
+    holding a simplicial node v.  The surviving neighbours of v lie in one
+    component, so X \ {v} keeps the component count and grows one
+    component by v, or adds v as a new component: its rupture is at least
+    that of X, its size is smaller and it costs no more.  It is a cut set
+    unless X = V \ {u} with u adjacent to v, where the two survivors
+    u and v form one component.  So the cardinality tie-break never picks
+    X, except for a single-survivor cut; when any node was fixed, every
+    affordable single-survivor cut V \ {u} is scored after the search.
     """
     g = model.graph
     if not g.is_connected():
         raise InputError("attack stage requires a connected graph")
     start = time.perf_counter()
     stats = SolverStats()
-    order = sorted(model.attackable, key=lambda v: (-g.degree(v), v))
     adj = g._adj
+    fixed = frozenset(v for v in model.attackable if _is_simplicial(adj, v))
+    order = sorted(model.attackable - fixed, key=lambda v: (-g.degree(v), v))
     budget = model.budget
     cost = g.attack_cost
     # undecided[idx] is the mask of order[idx:]
-    undecided = [0] * (len(order) + 1)
-    for idx in range(len(order) - 1, -1, -1):
+    n_order = len(order)
+    undecided = [0] * (n_order + 1)
+    for idx in range(n_order - 1, -1, -1):
         undecided[idx] = undecided[idx + 1] | 1 << (order[idx] - 1)
 
     # best = (rupture, |X|, sorted node tuple)
@@ -139,56 +167,72 @@ def solve_attack(model: AttackModel) -> AttackResult:
 
     def dfs(idx: int, removed_mask: int, spent: float,
             comps: list[int], m_k: int, nbr_k: int) -> None:
-        stats.nodes_explored += 1
-        b = best[0]
-        if b is not None:
-            # Admissible bound.  With f nodes removed so far, kept set K
-            # and u undecided nodes outside N(K), any completion removes
-            # t >= 0 more nodes, so |X| = f + t.  Components of the
-            # subgraph induced on K stay connected in any completion, hence
-            # m >= max(1, m(K)).  A surviving component without a node of
-            # K holds no node of N(K), since such a node is joined to K, so
-            # it holds one of the u - t' surviving undecided nodes outside
-            # N(K), where t' <= t of those u are removed; at most comp(K)
-            # components hold a node of K.  Hence omega <= comp(K) + u - t'
-            # and
-            #   r <= -(f+t) - max(1, m(K)) + comp(K) + u - t'
-            #     <= -f - max(1, m(K)) + comp(K) + u.
-            f = removed_mask.bit_count()
-            u = (undecided[idx] & ~nbr_k).bit_count()
-            bound = -f - max(1, m_k) + len(comps) + u
-            # equal-bound subtrees with f > |best X| cannot improve the
-            # cardinality-then-lex tie-break
-            if bound < b[0] or (bound == b[0] and f > b[1]):
+        # One call per removal: the remove branch recurses and the keep
+        # branch rebinds the state and loops, so f is fixed per call.  A
+        # comps list is never mutated, since the remove branch shares it.
+        f = removed_mask.bit_count()
+        while True:
+            stats.nodes_explored += 1
+            b = best[0]
+            if b is not None:
+                # Admissible bound.  With f nodes removed so far, kept set K
+                # and u undecided nodes outside N(K), any completion removes
+                # t >= 0 more nodes, so |X| = f + t.  Components of the
+                # subgraph induced on K stay connected in any completion,
+                # hence m >= max(1, m(K)).  A surviving component without a
+                # node of K holds no node of N(K), since such a node is
+                # joined to K, so it holds one of the u - t' surviving
+                # undecided nodes outside N(K), where t' <= t of those u are
+                # removed; at most comp(K) components hold a node of K.
+                # Hence omega <= comp(K) + u - t' and
+                #   r <= -(f+t) - max(1, m(K)) + comp(K) + u - t'
+                #     <= -f - max(1, m(K)) + comp(K) + u.
+                u = (undecided[idx] & ~nbr_k).bit_count()
+                bound = -f - (m_k if m_k > 1 else 1) + len(comps) + u
+                # equal-bound subtrees with f > |best X| cannot improve the
+                # cardinality-then-lex tie-break
+                if bound < b[0] or (bound == b[0] and f > b[1]):
+                    return
+            if idx == n_order:
+                leaf(removed_mask, comps, m_k)
                 return
-        if idx == len(order):
-            leaf(removed_mask, comps, m_k)
-            return
-        v = order[idx]
-        bit = 1 << (v - 1)
-        # branch: remove v
-        new_spent = spent + cost[v - 1]
-        if new_spent <= budget + BUDGET_TOL:
-            dfs(idx + 1, removed_mask | bit, new_spent, comps, m_k, nbr_k)
-        # branch: keep v, merged with every kept component it touches
-        adj_v = adj[v]
-        merged = bit
-        kept = []
-        for c in comps:
-            if c & adj_v:
-                merged |= c
-            else:
-                kept.append(c)
-        kept.append(merged)
-        dfs(idx + 1, removed_mask, spent, kept,
-            max(m_k, merged.bit_count()), nbr_k | adj_v)
+            v = order[idx]
+            bit = 1 << (v - 1)
+            # branch: remove v
+            new_spent = spent + cost[v - 1]
+            if new_spent <= budget + BUDGET_TOL:
+                dfs(idx + 1, removed_mask | bit, new_spent, comps, m_k, nbr_k)
+            # branch: keep v, merged with every kept component it touches
+            adj_v = adj[v]
+            merged = bit
+            kept = []
+            for c in comps:
+                if c & adj_v:
+                    merged |= c
+                else:
+                    kept.append(c)
+            kept.append(merged)
+            comps = kept
+            size = merged.bit_count()
+            if size > m_k:
+                m_k = size
+            nbr_k |= adj_v
+            idx += 1
 
-    intact = model.intact
-    comps = _component_masks(adj, _nodes_to_mask(intact))
+    always_kept = model.intact | fixed
+    comps = _component_masks(adj, _nodes_to_mask(always_kept))
     nbr = 0
-    for v in intact:
+    for v in always_kept:
         nbr |= adj[v]
     dfs(0, 0, 0.0, comps, max((c.bit_count() for c in comps), default=0), nbr)
+    if fixed:
+        # the single-survivor cuts V \ {u}, the only optima that may hold a
+        # simplicial node, scored apart from the search
+        for u in g.nodes:
+            spent = sum(cost[w - 1] for w in g.nodes if w != u)
+            if model.intact <= {u} and spent <= budget + BUDGET_TOL:
+                bit = 1 << (u - 1)
+                leaf(g._full_mask & ~bit, [bit], 1)
     stats.wall_time = time.perf_counter() - start
 
     if best[0] is None:

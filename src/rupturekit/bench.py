@@ -249,11 +249,16 @@ def sweep_budget(
     mc = mceic_matrix(g, part)
     rows = [SWEEP_CSV_HEADER]
     attack_model = AttackModel(g, budget_a, inst.attackable_nodes())
+    # budgets that buy the same links rebuild the same network
+    dynamic: dict[frozenset[tuple[int, int]], AttackResult] = {}
     for b in grid:
         rm = ResponseModel(part, mc, None if math.isinf(b) else b,
                            attack_res.score.cut_size)
         plan = solve_response(rm)
-        dyn = dynamic_worst_cut(g, plan, attack_model)
+        key = frozenset(plan.links)
+        dyn = dynamic.get(key)
+        if dyn is None:
+            dyn = dynamic[key] = dynamic_worst_cut(g, plan, attack_model)
         robustness = dyn.score.cut_size if dyn.score is not None else 0
         label = "unlimited" if math.isinf(b) else f"{b:.6f}"
         rows.append(

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import InputError, SizeLimitError
 
 log = logging.getLogger(__name__)
@@ -227,6 +225,9 @@ def verify_cut(k: KnapsackConstraint, cut: LiftedCoverCut) -> LiftedCoverCut:
     n = k.size
     if n > VERIFY_MAX_VARS:
         raise SizeLimitError(f"verify_cut limited to {VERIFY_MAX_VARS} variables, got {n}")
+    # imported here so that importing rupturekit does not load numpy
+    import numpy as np
+
     weights = np.zeros(1)
     lhs = np.zeros(1)
     for j in range(n):

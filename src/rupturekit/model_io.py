@@ -27,6 +27,9 @@ ATTACK_TYPES = ("targeted", "designated", "random", "distributed")
 
 EXPORT_EPSILON = 1e-3
 EXPORT_MAX_ROWS = 2_000_000
+# the response's r7i rows each carry a whole component-pair bridge, so their
+# terms grow with the square of the rows; 2 x 47-node components fit
+EXPORT_MAX_BRIDGE_TERMS = 10_000_000
 
 
 class InstanceFormatError(InputError):
@@ -406,6 +409,14 @@ def _check_rows(rows: int) -> None:
         raise SizeLimitError(f"{rows} rows exceed the export cap {EXPORT_MAX_ROWS}")
 
 
+def response_bridge_terms(part: ComponentPartition) -> int:
+    """Terms in the response export's r7i rows.  A component pair with
+    p = |V_m|·|V_n| node pairs has 2p such rows, each holding the p-link
+    bridge and one q variable: 2·p·(p+1) terms."""
+    return sum(2 * p * (p + 1)
+               for p in (a * b for a, b in combinations(part.sizes, 2)))
+
+
 def export_mip(
     inst: InstanceFile,
     which: str,
@@ -507,6 +518,10 @@ def _export_response(inst: InstanceFile, cut: list[int],
     if s == 0:
         raise InputError("response export needs a surviving node")
     _check_rows(export_row_count("response", inst.n, part))
+    terms = response_bridge_terms(part)
+    if terms > EXPORT_MAX_BRIDGE_TERMS:
+        raise SizeLimitError(f"{terms} r7i terms exceed the export cap "
+                             f"{EXPORT_MAX_BRIDGE_TERMS}")
     n_r = sorted(set(range(1, inst.n + 1)).difference(cut))
     big_m = float(inst.n + 1)
     eps = EXPORT_EPSILON

@@ -143,12 +143,71 @@ class TestAgainstOracleRandom:
 class TestSearchCounter:
     def test_nodes_explored_pinned(self):
         # exact and deterministic; 33,334 nodes with the bound that counted
-        # every undecided node as a possible new component.  A looser bound
-        # raises this count.
+        # every undecided node as a possible new component, 7,870 while
+        # simplicial nodes were still branched on.  A looser bound raises
+        # this count.
         inst = gen_random(BenchConfig(seed=7, count=1, n_min=20, n_max=20))[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 7, 11, 16, 17, 19})
-        assert res.stats.nodes_explored == 7870
+        assert res.stats.nodes_explored == 3597
+
+
+def clique_edges(k):
+    return list(combinations(range(1, k + 1), 2))
+
+
+def simplicial(g, v):
+    nbrs = g.neighbors(v)
+    return all(g.has_edge(a, b) for a, b in combinations(nbrs, 2))
+
+
+def graph(n, edges, costs=None):
+    return Graph(n, edges, attack_cost=costs)
+
+
+# (graph, budget, attackable): mostly simplicial nodes, several with
+# single-survivor optima, which the search alone never reaches
+SIMPLICIAL_CASES = {
+    **{f"K{k}": (graph(k, clique_edges(k)), k - 1.0, None)
+       for k in range(3, 7)},
+    "K4_pendants": (graph(6, clique_edges(4) + [(1, 5), (1, 6)]), 5.0, None),
+    "K5_pendant": (graph(6, clique_edges(5) + [(5, 6)]), 5.0, None),
+    "K4_pendant_on_each": (
+        graph(8, clique_edges(4) + [(v, v + 4) for v in range(1, 5)]),
+        7.0, None),
+    "star6": (star(6), 5.0, None),
+    "star6_zero_leaves": (graph(6, star(6).edges, (3.0, 0, 0, 0, 0, 0)),
+                          0.0, None),
+    "K5_zero_costs": (graph(5, clique_edges(5), (0.0,) * 5), 0.0, None),
+    "K5_one_paid": (graph(5, clique_edges(5), (0, 0, 0, 0, 2.0)), 0.0, None),
+    "K5_one_intact": (graph(5, clique_edges(5)), 4.0, frozenset({2, 3, 4, 5})),
+    "K4_pendants_zero_costs": (
+        graph(6, clique_edges(4) + [(1, 5), (2, 6)], (0.0,) * 6), 0.0, None),
+    "path2": (path_graph(2), 1.0, None),
+    "single_node": (graph(1, []), 1.0, None),
+}
+
+
+class TestSimplicialReduction:
+    @pytest.mark.parametrize("name", sorted(SIMPLICIAL_CASES))
+    def test_matches_oracle(self, name):
+        g, budget, attackable = SIMPLICIAL_CASES[name]
+        res = solve_attack(AttackModel(g, budget, attackable or frozenset()))
+        ref = worst_cut_oracle(g, budget, attackable)
+        if ref is None:
+            assert res.status == STATUS_INFEASIBLE
+        else:
+            assert res.status == STATUS_OPTIMAL
+            assert res.cut.nodes == ref[0].nodes
+            assert res.score.rupture == ref[1].rupture
+
+    def test_cases_hold_single_survivor_optima(self):
+        # the table exercises the scan of single-survivor cuts
+        single = 0
+        for g, budget, attackable in SIMPLICIAL_CASES.values():
+            ref = worst_cut_oracle(g, budget, attackable)
+            single += ref is not None and len(ref[0].nodes) == g.n - 1
+        assert single == 10
 
 
 @st.composite
@@ -194,3 +253,13 @@ class TestSolverMatchesOracle:
                 assert res.status == STATUS_OPTIMAL
                 assert res.cut.nodes == ref[0].nodes
                 assert res.score.rupture == ref[1].rupture
+
+
+class TestSimplicialNodesKept:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(attack_models())
+    def test_cut_holds_no_simplicial_node(self, model):
+        res = solve_attack(model)
+        g = model.graph
+        if res.status == STATUS_OPTIMAL and len(res.cut.nodes) != g.n - 1:
+            assert not any(simplicial(g, v) for v in res.cut.nodes)

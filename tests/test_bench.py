@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from rupturekit import bench, response
+from rupturekit.attack import solve_attack
 from rupturekit.bench import (
     PIPELINE_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -109,3 +111,23 @@ class TestSweep:
         rows = sweep_budget(inst, [0.0])
         attacked = rupture_score(inst.to_graph(), [1])
         assert int(rows[1].split(",")[2]) == attacked.resilience
+
+    def test_budgets_buying_the_same_links_share_a_reattack(self, monkeypatch):
+        inst = gen_random(BenchConfig(seed=0, count=1, n_min=13, n_max=13))[0]
+        grid = [0.0, 1.0, 2.0, 3.0, 4.5, 6.0, 9.0, math.inf]
+        # each budget swept alone re-attacks without sharing
+        alone = [sweep_budget(inst, [b])[1] for b in grid]
+        attacked = []
+
+        def counting_solve_attack(model):
+            attacked.append(frozenset(model.graph.edges))
+            return solve_attack(model)
+
+        monkeypatch.setattr(bench, "solve_attack", counting_solve_attack)
+        monkeypatch.setattr(response, "solve_attack", counting_solve_attack)
+        rows = sweep_budget(inst, grid)
+        assert rows[1:] == alone
+        # the first-stage attack, then one re-attack per distinct link set
+        reattacked = attacked[1:]
+        assert len(reattacked) == len(set(reattacked))
+        assert len(reattacked) < len(grid)

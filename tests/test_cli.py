@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from rupturekit import bench
 from rupturekit.cli import main
+from rupturekit.model_io import InstanceFile, emit_instance
 from rupturekit.response import SOLVER_MAX_COMPONENTS
 
 
@@ -237,6 +238,17 @@ class TestExportCommand:
     def test_ignored_option_is_input_error(self, runner, nine_node_path, flags):
         res = runner.invoke(main, ["export-mip", str(nine_node_path), *flags])
         assert res.exit_code == 3
+
+    def test_bridge_term_guard_exit_code(self, runner, tmp_path):
+        # two 300-node components: under the row cap, over the term cap
+        inst = InstanceFile(601, tuple((v, v + 1) for v in range(1, 601)),
+                            (1.0,) * 601, {})
+        path = tmp_path / "p601.txt"
+        path.write_text(emit_instance(inst))
+        res = runner.invoke(main, ["export-mip", str(path), "--formulation",
+                                   "response", "--cut-x", "301"])
+        assert res.exit_code == 4
+        assert "r7i terms" in res.output
 
     def test_reduced_power_constraint_accepted(self, runner, ieee14_path):
         res = runner.invoke(main, ["export-mip", str(ieee14_path),

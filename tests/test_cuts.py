@@ -1,6 +1,11 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import rupturekit
 
 from rupturekit.cuts import (
     Cover,
@@ -146,3 +151,15 @@ class TestCutsForKnapsack:
 
     def test_no_cover_no_cuts(self):
         assert cuts_for_knapsack(KnapsackConstraint((1.0, 1.0), 9.0)) == []
+
+
+def test_import_leaves_numpy_unloaded():
+    # verify_cut imports numpy on first use, so a fresh interpreter that
+    # only imports rupturekit does not pay for it
+    src = str(Path(rupturekit.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import rupturekit; "
+         "print('numpy' in sys.modules)", src],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from rupturekit.attack import AttackModel, solve_attack
 from rupturekit.errors import InputError, SizeLimitError
 from rupturekit.graph import components
 from rupturekit.model_io import (
+    EXPORT_MAX_BRIDGE_TERMS,
     EXPORT_MAX_ROWS,
     InstanceFile,
     InstanceFormatError,
@@ -17,6 +18,7 @@ from rupturekit.model_io import (
     export_mip,
     export_row_count,
     parse_instance,
+    response_bridge_terms,
     result_to_json,
 )
 from rupturekit.response import classify_components
@@ -159,6 +161,18 @@ class TestExportMip:
         assert export_row_count("attack", 60) == 216_181
         assert export_row_count("attack", 125) <= EXPORT_MAX_ROWS
         assert export_row_count("attack", 126) > EXPORT_MAX_ROWS
+
+    def test_size_guard_counts_response_bridge_terms(self):
+        # P601 minus node 301: two 300-node components pass the row guard,
+        # but each r7i row holds a 90,000-link bridge
+        inst = InstanceFile(601, tuple((v, v + 1) for v in range(1, 601)),
+                            (1.0,) * 601, {})
+        part = components(inst.to_graph(), [301])
+        assert export_row_count("response", 601, part) == 1_080_008
+        assert response_bridge_terms(part) == 2 * 90_000 * 90_001
+        assert response_bridge_terms(part) > EXPORT_MAX_BRIDGE_TERMS
+        with pytest.raises(SizeLimitError):
+            export_mip(inst, "response", cut=[301])
 
 
 def _random_weighted():

@@ -181,10 +181,13 @@ class TestDegenerateAndCaps:
 
 
 @st.composite
-def response_models(draw):
+def response_models(draw, power=False):
     """Components built from paths and singletons, link costs from tied
-    palettes that include 0.0, budgets from zero to unlimited."""
-    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    palettes that include 0.0, budgets from zero to unlimited; with
+    `power`, generator and load nodes under the power rule and at most 5
+    components, since its oracle scores every link subset."""
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1,
+                            max_size=5 if power else 6))
     edges = []
     start = 1
     for length in lengths:
@@ -196,17 +199,31 @@ def response_models(draw):
     edge_set = set(edges)
     link_cost = {p: draw(st.sampled_from(palette))
                  for p in combinations(range(1, n + 1), 2) if p not in edge_set}
-    g = Graph(n, edges, link_cost=link_cost)
+    node_class = None
+    if power:
+        node_class = draw(st.lists(st.sampled_from(["generator", "load"]),
+                                   min_size=n, max_size=n))
+    g = Graph(n, edges, link_cost=link_cost, node_class=node_class)
     part = components(g, [])
     budget = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, None]))
     cut_size = draw(st.integers(0, 3))
-    return ResponseModel(part, mceic_matrix(g, part), budget, cut_size)
+    classes = classify_components(g, part) if power else None
+    return ResponseModel(part, mceic_matrix(g, part), budget, cut_size,
+                         classes, power)
 
 
 class TestSolverMatchesOracle:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(response_models())
     def test_same_plan_as_brute_force(self, m):
+        a = solve_response(m)
+        b = brute_force_response(m)
+        assert (a.selected, a.links, a.total_cost, a.rupture) == (
+            b.selected, b.links, b.total_cost, b.rupture)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(response_models(power=True))
+    def test_power_plan_as_brute_force(self, m):
         a = solve_response(m)
         b = brute_force_response(m)
         assert (a.selected, a.links, a.total_cost, a.rupture) == (
