@@ -9,6 +9,7 @@ routines; the full MIP remains available through the model-io export.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,8 +47,8 @@ class AttackModel:
     attackable: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise InputError("attack budget must be nonnegative")
+        if not math.isfinite(self.budget) or self.budget < 0:
+            raise InputError("attack budget must be finite and nonnegative")
         if not self.attackable:
             object.__setattr__(self, "attackable", frozenset(self.graph.nodes))
         for v in self.attackable:

@@ -74,6 +74,8 @@ def _parse_budget(raw: Optional[str]) -> Optional[float]:
     try:
         v = float(raw)
     except ValueError:
+        v = math.nan
+    if not math.isfinite(v):  # float() also takes 'nan' and 'inf'
         raise InputError(f"bad budget {raw!r}")
     if v < 0:
         raise InputError("budgets must be nonnegative")
@@ -137,9 +139,8 @@ def attack(instance, budget_attack, attackable, relaxed, oracle_check):
             bench.check_attack_oracle(model, res)
         if res.status != STATUS_OPTIMAL:
             raise InfeasibleError("no budget-feasible cut set exists")
-        click.echo(json.dumps(
-            model_io.result_to_dict(Path(instance).name, attack=res),
-            indent=2, sort_keys=True))
+        click.echo(model_io.result_to_json(Path(instance).name, attack=res),
+                   nl=False)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
 
@@ -170,9 +171,8 @@ def respond(instance, cut_x, budget_response, power_constraint, oracle_check):
         plan = solve_response(rm)
         if oracle_check:
             bench.check_response_oracle(rm, plan)
-        click.echo(json.dumps(
-            model_io.result_to_dict(Path(instance).name, plan=plan),
-            indent=2, sort_keys=True))
+        click.echo(model_io.result_to_json(Path(instance).name, plan=plan),
+                   nl=False)
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
 
@@ -206,14 +206,9 @@ def sweep(instance, grid):
     """Emit the budget-sweep CSV for one instance."""
     try:
         inst = _load(instance)
-        values = []
-        for tok in grid.split(","):
-            tok = tok.strip()
-            values.append(math.inf if tok == "unlimited" else float(tok))
+        values = [_parse_budget(tok.strip()) for tok in grid.split(",")]
         for row in bench.sweep_budget(inst, values, Path(instance).name):
             click.echo(row)
-    except ValueError:
-        _fail(InputError(f"bad budget grid {grid!r}"))
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
 
@@ -229,8 +224,10 @@ def export_mip(instance, formulation, cut_x, power_constraint):
     try:
         inst = _load(instance)
         cut = _parse_nodes(cut_x) or None
-        click.echo(model_io.export_mip(inst, formulation, cut, power_constraint),
-                   nl=False)
+        # one write of the text as built: click.echo would run its ANSI
+        # stripping over megabytes whenever stdout is not a terminal
+        sys.stdout.write(model_io.export_mip(inst, formulation, cut,
+                                             power_constraint))
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
 

@@ -33,10 +33,10 @@ class KnapsackConstraint:
     capacity: float
 
     def __post_init__(self):
-        if any(a < 0 for a in self.coeffs):
-            raise InputError("knapsack coefficients must be nonnegative")
-        if self.capacity <= 0:
-            raise InputError("knapsack capacity must be positive")
+        if not all(math.isfinite(a) and a >= 0 for a in self.coeffs):
+            raise InputError("knapsack coefficients must be finite and nonnegative")
+        if not (math.isfinite(self.capacity) and self.capacity > 0):
+            raise InputError("knapsack capacity must be finite and positive")
 
     @property
     def size(self) -> int:

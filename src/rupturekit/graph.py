@@ -7,6 +7,7 @@ oracle and the branch-and-bound solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
@@ -48,8 +49,8 @@ class Graph:
         else:
             if len(attack_cost) != n:
                 raise InputError("attack_cost must have one entry per node")
-            if any(c < 0 for c in attack_cost):
-                raise InputError("attack costs must be nonnegative")
+            if not all(math.isfinite(c) and c >= 0 for c in attack_cost):
+                raise InputError("attack costs must be finite and nonnegative")
             self.attack_cost = tuple(float(c) for c in attack_cost)
 
         self.link_cost: dict[tuple[int, int], float] = {}
@@ -57,8 +58,9 @@ class Graph:
             for (i, j), d in link_cost.items():
                 if i == j or not (1 <= i <= n and 1 <= j <= n):
                     raise InputError(f"link cost pair ({i},{j}) invalid")
-                if d < 0:
-                    raise InputError(f"link cost for ({i},{j}) must be nonnegative")
+                if not math.isfinite(d) or d < 0:
+                    raise InputError(
+                        f"link cost for ({i},{j}) must be finite and nonnegative")
                 key = (min(i, j), max(i, j))
                 if key in self.link_cost and abs(self.link_cost[key] - d) > 1e-9:
                     raise InputError(f"asymmetric link cost for pair {key}")

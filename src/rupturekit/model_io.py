@@ -59,6 +59,13 @@ class InstanceFile:
         for v in self.attack_nodes:
             if not (1 <= v <= self.n):
                 raise InputError(f"attack node {v} out of range")
+        # the export writes the budgets into its rows without building a model
+        if self.budget_attack is not None and not (
+                math.isfinite(self.budget_attack) and self.budget_attack >= 0):
+            raise InputError("attack budget must be finite and nonnegative")
+        if self.budget_response is not None and (
+                math.isnan(self.budget_response) or self.budget_response < 0):
+            raise InputError("response budget must be nonnegative or math.inf")
 
     def to_graph(self) -> Graph:
         return Graph(self.n, self.edges, self.attack_cost, self.link_cost,
@@ -185,15 +192,23 @@ def parse_instance(text: str) -> InstanceFile:
         raise InstanceFormatError(0, str(exc))
 
 
+def _finite(ln: int, token: str, what: str) -> float:
+    """`token` as a finite float; float() alone also takes nan and inf."""
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise InstanceFormatError(ln, f"bad {what} {token!r}")
+    return value
+
+
 def _parse_budget(ln: int, token: str, *, allow_unlimited: bool) -> float:
     if token == "unlimited":
         if not allow_unlimited:
             raise InstanceFormatError(ln, "attack budget cannot be unlimited")
         return math.inf
-    try:
-        value = float(token)
-    except ValueError:
-        raise InstanceFormatError(ln, f"bad budget value {token!r}")
+    value = _finite(ln, token, "budget value")
     if value < 0:
         raise InstanceFormatError(ln, "budgets must be nonnegative")
     return value
@@ -206,10 +221,7 @@ def _parse_attack_costs(next_line, check_node, attack_cost):
         if len(fields) != 2 or not fields[0].lstrip("-").isdigit():
             return ln, line
         v = check_node(ln, int(fields[0]))
-        try:
-            c = float(fields[1])
-        except ValueError:
-            raise InstanceFormatError(ln, f"bad cost {fields[1]!r}")
+        c = _finite(ln, fields[1], "cost")
         if c < 0:
             raise InstanceFormatError(ln, "attack costs must be nonnegative")
         attack_cost[v - 1] = c
@@ -225,10 +237,7 @@ def _parse_link_costs(next_line, check_node, link_cost):
         j = check_node(ln, int(fields[1]))
         if i == j:
             raise InstanceFormatError(ln, "link cost pair must be distinct nodes")
-        try:
-            d = float(fields[2])
-        except ValueError:
-            raise InstanceFormatError(ln, f"bad cost {fields[2]!r}")
+        d = _finite(ln, fields[2], "cost")
         if d < 0:
             raise InstanceFormatError(ln, "link costs must be nonnegative")
         key = (min(i, j), max(i, j))
@@ -329,7 +338,8 @@ def result_to_dict(
 
 
 def result_to_json(*args, **kwargs) -> str:
-    return json.dumps(result_to_dict(*args, **kwargs), indent=2, sort_keys=True) + "\n"
+    return json.dumps(result_to_dict(*args, **kwargs), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 # -- MIP export --------------------------------------------------------------
@@ -359,7 +369,7 @@ class _LpWriter:
         self.sense = sense
         self.header = list(header)
         self.obj: str = "0"
-        self.rows: list[str] = []
+        self.rows: list[str] = []  # an entry may hold several lines
         self.bounds: list[str] = []
         self.binaries: list[str] = []
         self.generals: list[str] = []
@@ -458,51 +468,54 @@ def _export_attack(inst: InstanceFile) -> str:
         f"attack_type: {inst.attack_type}",
     ])
     v = [[]] + [[f"v_{i}_{c}" for c in nodes] for i in nodes]  # v[i][c - 1]
+    on_c = [[]] + [[v[i][c - 1] for i in nodes] for c in nodes]  # on_c[c][i - 1]
 
-    obj = [(1.0, x) for i in nodes for x in v[i]]
-    obj.append((-1.0, "alphaA"))
-    obj.extend((1.0, f"bA_{c}") for c in nodes)
-    w.objective(obj, constant=-float(n))
-
+    # Rows whose coefficients are all +-1 are written as the lines _expr would
+    # render, joined from the names above; only r4f, whose coefficients are
+    # the attack costs, goes through w.row.
+    w.obj = (" + ".join([x for i in nodes for x in v[i]]) + " - alphaA + "
+             + " + ".join(f"bA_{c}" for c in nodes) + f" - {_fmt(n)}")
+    rows = w.rows
     for i in nodes:
-        terms = [(1.0, x) for x in v[i]]
-        if i in attackable:
-            w.row(f"r4b_{i}", terms, "<=", 1.0)
-        else:
-            # intact nodes stay active: the assignment row becomes an equality
-            w.row(f"r20b_{i}", terms, "=", 1.0)
-    for c in nodes:
-        w.row(f"r4c_{c}", [(1.0, v[i][c - 1]) for i in nodes] + [(-1.0, "alphaA")],
-              "<=", 0.0)
-    for c in nodes:
-        w.row(f"r4d_{c}", [(1.0, f"bA_{c}")] + [(-1.0, v[i][c - 1]) for i in nodes],
-              "<=", 0.0)
+        # intact nodes stay active: the assignment row becomes an equality
+        name, op = (f"r4b_{i}", "<=") if i in attackable else (f"r20b_{i}", "=")
+        rows.append(f" {name}: {' + '.join(v[i])} {op} 1.000000")
+    rows.extend(f" r4c_{c}: {' + '.join(on_c[c])} - alphaA <= 0.000000"
+                for c in nodes)
+    rows.extend(f" r4d_{c}: bA_{c} - {' - '.join(on_c[c])} <= 0.000000"
+                for c in nodes)
+    # r4e's v coefficient is -(n - 1): bare at n = 2, and zero at n = 1,
+    # which leaves the row no term, so _expr prints 0
+    scale = "" if n == 2 else f"{_fmt(n - 1.0)} "
     for i in nodes:
-        terms = [(1.0, f"y_{i}_{j}") for j in nodes if j != i]
-        terms += [(-(n - 1.0), x) for x in v[i]]
-        w.row(f"r4e_{i}", terms, "<=", 0.0)
+        lhs = " + ".join(f"y_{i}_{j}" for j in nodes if j != i)
+        lhs += "".join(f" - {scale}{x}" for x in v[i]) if n > 1 else "0"
+        rows.append(f" r4e_{i}: {lhs} <= 0.000000")
     budget = inst.budget_attack if inst.budget_attack is not None else 0.0
     w.row("r4f", [(-inst.attack_cost[i - 1], x) for i in nodes for x in v[i]],
           "<=", budget - sum(inst.attack_cost))
-    # the n^3 unit-coefficient rows are appended as the lines _expr would
-    # render, with each name built once; data-dependent rows use w.row
-    rows = w.rows
     rows.extend(f" r4g_{i}_{j}: y_{i}_{j} - y_{j}_{i} = 0.000000"
                 for i, j in combinations(nodes, 2))
+    # The r4h, r4i and r4j rows of a pair i > j depend only on whether i and
+    # j are adjacent.  Each kind's 2n + 1 lines are rendered once, with the
+    # control characters \x01 and \x02, which LP text never holds, standing
+    # for i and j; every pair then appends its kind's block, filled in, as
+    # one multi-line entry of w.rows.
+    y = "y_\x01_\x02"
+    vi = [f"v_\x01_{c}" for c in nodes]
+    vj = [f"v_\x02_{c}" for c in nodes]
+    adjacent = [f" r4h_\x01_\x02: {' + '.join(vi + vj)} - {y} <= 1.000000"]
+    apart = [f" r4h_\x01_\x02: -{y} <= 0.000000"]
+    for c, xi, xj in zip(nodes, vi, vj):
+        adjacent.append(f" r4i_\x01_\x02_{c}: {y} + {xi} - {xj} <= 1.000000")
+        adjacent.append(f" r4j_\x01_\x02_{c}: {y} - {xi} + {xj} <= 1.000000")
+        apart.append(f" r4i_\x01_\x02_{c}: {y} <= 0.000000")
+        apart.append(f" r4j_\x01_\x02_{c}: {y} <= 0.000000")
+    adjacent, apart = "\n".join(adjacent), "\n".join(apart)
     for i in nodes:
+        blocks = (apart.replace("\x01", str(i)), adjacent.replace("\x01", str(i)))
         for j in range(1, i):
-            y = f"y_{i}_{j}"
-            if g.has_edge(i, j):
-                w.row(f"r4h_{i}_{j}", [(1.0, x) for x in v[i] + v[j]] + [(-1.0, y)],
-                      "<=", 1.0)
-                for c, vi, vj in zip(nodes, v[i], v[j]):
-                    rows.append(f" r4i_{i}_{j}_{c}: {y} + {vi} - {vj} <= 1.000000")
-                    rows.append(f" r4j_{i}_{j}_{c}: {y} - {vi} + {vj} <= 1.000000")
-            else:
-                rows.append(f" r4h_{i}_{j}: -{y} <= 0.000000")
-                for c in nodes:
-                    rows.append(f" r4i_{i}_{j}_{c}: {y} <= 0.000000")
-                    rows.append(f" r4j_{i}_{j}_{c}: {y} <= 0.000000")
+            rows.append(blocks[g.has_edge(i, j)].replace("\x02", str(j)))
 
     for i in nodes:
         w.binaries.extend(v[i])

@@ -90,8 +90,10 @@ class ResponseModel:
     power_constraint: bool = False
 
     def __post_init__(self):
-        if self.budget is not None and self.budget < 0:
-            raise InputError("response budget must be nonnegative")
+        if self.budget is not None and not (math.isfinite(self.budget)
+                                            and self.budget >= 0):
+            # None is the only unlimited budget
+            raise InputError("response budget must be finite and nonnegative")
         if self.power_constraint and self.component_class is None:
             raise InputError("power constraint requires component classes")
         if self.component_class is not None:

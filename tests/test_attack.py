@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -38,6 +39,11 @@ class TestAttackModel:
     def test_negative_budget_rejected(self):
         with pytest.raises(InputError):
             AttackModel(path_graph(4), -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, bad):
+        with pytest.raises(InputError):
+            AttackModel(path_graph(4), bad)
 
 
 class TestSolveAttack:

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from rupturekit import bench
 from rupturekit.cli import main
-from rupturekit.model_io import InstanceFile, emit_instance
+from rupturekit.model_io import InstanceFile, emit_instance, export_mip
 from rupturekit.response import SOLVER_MAX_COMPONENTS
 
 
@@ -256,6 +256,67 @@ class TestExportCommand:
                                    "--cut-x", "2,4,6,9", "--power-constraint"])
         assert res.exit_code == 0, res.output
         assert " r21_4_5: " in res.output
+
+    @pytest.mark.parametrize("formulation,cut", [
+        ("attack", None), ("response", [5]), ("reduced", [5]),
+    ])
+    def test_stdout_is_the_export_text(self, runner, nine_node_path, nine_node,
+                                       formulation, cut):
+        # no added newline, no stripping
+        args = ["export-mip", str(nine_node_path), "--formulation", formulation]
+        if cut:
+            args += ["--cut-x", ",".join(map(str, cut))]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.stdout == export_mip(nine_node, formulation, cut)
+
+
+NON_FINITE_INSTANCE = [  # (line in nine_node.txt, its replacement)
+    ("5 1.000000", "5 nan"),              # an attack cost
+    ("8 9 1.000000", "8 9 nan"),          # a link cost
+    ("attack 1.000000", "attack nan"),
+    ("attack 1.000000", "attack inf"),
+    ("response unlimited", "response nan"),
+]
+COMMANDS = [["attack"], ["respond", "--cut-x", "5"], ["pipeline"],
+            ["sweep", "--grid", "1"], ["export-mip"]]
+
+
+class TestNonFiniteNumbers:
+    """float() takes 'nan' and 'inf'; every command refuses them with exit 3
+    and never prints NaN."""
+
+    @pytest.mark.parametrize("line,bad", NON_FINITE_INSTANCE,
+                             ids=[bad for _, bad in NON_FINITE_INSTANCE])
+    def test_instance_file(self, runner, nine_node_path, tmp_path, line, bad):
+        text = nine_node_path.read_text()
+        assert f"\n{line}\n" in text
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
+        for command in COMMANDS:
+            res = runner.invoke(main, [command[0], str(path), *command[1:]])
+            assert res.exit_code == 3, (command, res.output)
+            assert "error: line " in res.output
+            assert "NaN" not in res.output
+
+    @pytest.mark.parametrize("args", [
+        ["attack", "{path}", "--budget-attack", "nan"],
+        ["attack", "{path}", "--budget-attack", "inf"],
+        ["respond", "{path}", "--cut-x", "5", "--budget-response", "nan"],
+        ["respond", "{path}", "--cut-x", "5", "--budget-response", "inf"],
+        ["sweep", "{path}", "--grid", "nan,1"],
+        ["sweep", "{path}", "--grid", "1,inf"],
+        ["gen", "--budget-attack", "nan", "--out-dir", "{tmp}"],
+        ["gen", "--budget-response", "nan", "--out-dir", "{tmp}"],
+        ["cuts", "--coeffs", "4 nan 3", "--capacity", "6"],
+        ["cuts", "--coeffs", "4 3 3", "--capacity", "nan"],
+    ], ids=lambda args: " ".join(a for a in args if "{" not in a))
+    def test_option(self, runner, nine_node_path, tmp_path, args):
+        argv = [a.format(path=nine_node_path, tmp=tmp_path) for a in args]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 3, res.output
+        assert "NaN" not in res.output
+        assert list(tmp_path.iterdir()) == []  # gen wrote no instance
 
 
 class TestCutsCommand:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,13 @@ class TestKnapsackConstraint:
     def test_rejects_negative_weight(self):
         with pytest.raises(InputError):
             KnapsackConstraint((-1.0, 2.0), 3.0)
+
+    @pytest.mark.parametrize("weights,capacity", [
+        ((math.nan, 2.0), 3.0), ((1.0, 2.0), math.nan), ((1.0, 2.0), math.inf),
+    ])
+    def test_rejects_non_finite(self, weights, capacity):
+        with pytest.raises(InputError):
+            KnapsackConstraint(weights, capacity)
 
 
 class TestFindCover:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rupturekit.errors import InputError, SizeLimitError
@@ -35,6 +37,13 @@ class TestGraph:
     def test_rejects_asymmetric_link_cost(self):
         with pytest.raises(InputError):
             Graph(3, [(1, 2)], link_cost={(1, 3): 1.0, (3, 1): 2.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_costs(self, bad):
+        with pytest.raises(InputError):
+            Graph(3, [(1, 2)], attack_cost=(1.0, bad, 1.0))
+        with pytest.raises(InputError):
+            Graph(3, [(1, 2)], link_cost={(1, 3): bad})
 
     def test_degree_and_neighbors(self):
         g = star(5)

@@ -84,6 +84,41 @@ class TestParse:
         with pytest.raises(InstanceFormatError):
             parse_instance(text)
 
+    # float() takes these; 'unlimited' is the only infinite response budget
+    @pytest.mark.parametrize("old,new", [
+        ("2 1.000000\nATTACK\n", "2 nan\nATTACK\n"),
+        ("2 1.000000\nATTACK\n", "2 inf\nATTACK\n"),
+        ("ATTACK\n", "LINK_COSTS\n1 2 nan\nATTACK\n"),
+        ("ATTACK\n", "LINK_COSTS\n1 2 inf\nATTACK\n"),
+        ("ATTACK\n", "BUDGETS\nattack nan\nATTACK\n"),
+        ("ATTACK\n", "BUDGETS\nattack inf\nATTACK\n"),
+        ("ATTACK\n", "BUDGETS\nresponse nan\nATTACK\n"),
+        ("ATTACK\n", "BUDGETS\nresponse inf\nATTACK\n"),
+    ], ids=["attack-cost-nan", "attack-cost-inf", "link-cost-nan",
+            "link-cost-inf", "attack-budget-nan", "attack-budget-inf",
+            "response-budget-nan", "response-budget-inf"])
+    def test_non_finite_number_rejected(self, old, new):
+        text = MINIMAL.replace(old, new, 1)
+        bad_line = new.split("\n")[-3]
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert exc.value.line == text.splitlines().index(bad_line) + 1
+
+
+class TestInstanceFile:
+    @pytest.mark.parametrize("field,bad", [
+        ("budget_attack", math.nan), ("budget_attack", math.inf),
+        ("budget_attack", -1.0), ("budget_response", math.nan),
+        ("budget_response", -1.0),
+    ])
+    def test_budget_rejected(self, field, bad):
+        with pytest.raises(InputError):
+            InstanceFile(2, ((1, 2),), (1.0, 1.0), {}, **{field: bad})
+
+    def test_unlimited_response_budget_accepted(self):
+        inst = InstanceFile(2, ((1, 2),), (1.0, 1.0), {}, budget_response=math.inf)
+        assert math.isinf(inst.budget_response)
+
 
 class TestEmit:
     def test_minimal_roundtrip_byte_identical(self):
@@ -110,6 +145,10 @@ class TestResultJson:
     def test_notes_preserved(self):
         doc = json.loads(result_to_json("x", notes=["deviation: y"]))
         assert doc["notes"] == ["deviation: y"]
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError):
+            result_to_json("x", notes=[math.nan])
 
 
 class TestExportMip:
@@ -189,6 +228,17 @@ def _distributed_nine(nine_node):
                                attack_nodes=(1, 5))
 
 
+# attack exports whose renderer takes a special case: at n = 1 r4e's only
+# coefficient is 0 and the row prints as 0, at n = 2 it is 1 and prints bare,
+# and n = 30 has both kinds of node pair at a benchmark size
+_ATTACK_CASES = {
+    "one_node": InstanceFile(1, (), (2.0,), {}, budget_attack=1.0),
+    "two_node": InstanceFile(2, ((1, 2),), (1.0, 1.0), {}, budget_attack=1.0),
+    "random30": bench.gen_random(bench.BenchConfig(
+        seed=3, n_min=30, n_max=30, edge_count=60))[0],
+}
+
+
 # SHA-256 of the exported text, pinned so a rewrite of the renderer must
 # keep every byte.  The random cut leaves four components.
 EXPORT_DIGESTS = [
@@ -208,14 +258,27 @@ EXPORT_DIGESTS = [
      "e282a0f70626a9530e7202789a4dac54aef1b2ad56a1188c0d3f64bc952651a8"),
     ("random", "reduced", [3, 4, 6, 11, 12], False,
      "1c572b94e88c16a5e6d8bc0b2fa65816152ac8e4fa1f5b68942dde09d4b152ec"),
+    ("one_node", "attack", None, False,
+     "4d5d46cf38cc99a1fe7b041bc35c6c605da3f222e5f52647de9cd32a25c30350"),
+    ("two_node", "attack", None, False,
+     "d1e53bf8653eac04ba7117b9e8d074138cb842a81aaa49917ad13d3c22bcf03f"),
+    ("no_budget", "attack", None, False,
+     "9edf2f20fb5af56bba849b08f59902df279253ea5ad4eb5ff5d9cde043ee4591"),
+    ("random30", "attack", None, False,
+     "0150443b14f90514cfee42d1c07a5b3226fecddd68306b243e99d653e104cc22"),
 ]
 
 
 def _export_case(request, name):
     if name == "distributed":
         return _distributed_nine(request.getfixturevalue("nine_node"))
+    if name == "no_budget":  # r4f's right-hand side falls back to 0.0
+        return dataclasses.replace(request.getfixturevalue("nine_node"),
+                                   budget_attack=None)
     if name == "random":
         return _random_weighted()
+    if name in _ATTACK_CASES:
+        return _ATTACK_CASES[name]
     return request.getfixturevalue(name)
 
 

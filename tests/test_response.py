@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -145,6 +146,12 @@ def singletons_model(s, budget=None, classes=None):
 
 
 class TestDegenerateAndCaps:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_budget_must_be_finite_and_nonnegative(self, bad):
+        # None is the only unlimited budget
+        with pytest.raises(InputError):
+            simple_model(budget=bad)
+
     @pytest.mark.parametrize("n,edges,cut", [
         (2, [(1, 2)], [1]),                        # K2 minus one node
         (4, [(1, 2), (2, 3), (3, 4), (1, 4)], [1]),  # C4 minus a non-cut node
