@@ -121,6 +121,12 @@ def solve_attack(model: AttackModel) -> AttackResult:
     no node recomputes components, and at a leaf K is the surviving graph.
     The bound counts only the undecided nodes outside N(K) as possible new
     components: an undecided survivor next to K joins a kept component.
+    So at most W = comp(K) + u components survive, u being the number of
+    those nodes, and by pigeonhole the largest holds at least
+    ceil((n - f) / W) of the n - f nodes not yet removed; removing t more
+    nodes lowers that floor by at most t, so the bound takes t = 0 and
+    never reads the budget.  This term is computed only at nodes that
+    survive the cheaper m(K) bound and only when it is the larger one.
     The remove branch recurses and the keep branch loops, so the recursion
     depth is the number of removals plus one.
 
@@ -146,6 +152,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
     order = sorted(model.attackable - fixed, key=lambda v: (-g.degree(v), v))
     budget = model.budget
     cost = g.attack_cost
+    n = g.n
     # undecided[idx] is the mask of order[idx:]
     n_order = len(order)
     undecided = [0] * (n_order + 1)
@@ -172,6 +179,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
         # branch rebinds the state and loops, so f is fixed per call.  A
         # comps list is never mutated, since the remove branch shares it.
         f = removed_mask.bit_count()
+        alive = n - f
         while True:
             stats.nodes_explored += 1
             b = best[0]
@@ -185,15 +193,27 @@ def solve_attack(model: AttackModel) -> AttackResult:
                 # joined to K, so it holds one of the u - t' surviving
                 # undecided nodes outside N(K), where t' <= t of those u are
                 # removed; at most comp(K) components hold a node of K.
-                # Hence omega <= comp(K) + u - t' and
-                #   r <= -(f+t) - max(1, m(K)) + comp(K) + u - t'
-                #     <= -f - max(1, m(K)) + comp(K) + u.
-                u = (undecided[idx] & ~nbr_k).bit_count()
-                bound = -f - (m_k if m_k > 1 else 1) + len(comps) + u
+                # Hence omega <= W = comp(K) + u, and the n - f - t
+                # survivors fill at most W components, so by pigeonhole
+                # m >= ceil((n-f-t) / W).  Then
+                #   r <= -(f+t) - max(1, m(K), ceil((n-f-t) / W)) + W
+                #     <= -f - max(1, m(K), ceil((n-f) / W)) + W,
+                # since ceil((n-f) / W) <= ceil((n-f-t) / W) + t: t = 0 is
+                # the worst case and the budget never enters.
+                w = len(comps) + (undecided[idx] & ~nbr_k).bit_count()
+                m_lo = m_k if m_k > 1 else 1
+                bound = w - f - m_lo
                 # equal-bound subtrees with f > |best X| cannot improve the
                 # cardinality-then-lex tie-break
                 if bound < b[0] or (bound == b[0] and f > b[1]):
                     return
+                if alive > m_lo * w:
+                    if not w:
+                        return  # no completion leaves a survivor
+                    # -ceil(alive / w) == -alive // w
+                    bound = w - f + -alive // w
+                    if bound < b[0] or (bound == b[0] and f > b[1]):
+                        return
             if idx == n_order:
                 leaf(removed_mask, comps, m_k)
                 return
@@ -228,10 +248,21 @@ def solve_attack(model: AttackModel) -> AttackResult:
     dfs(0, 0, 0.0, comps, max((c.bit_count() for c in comps), default=0), nbr)
     if fixed:
         # the single-survivor cuts V \ {u}, the only optima that may hold a
-        # simplicial node, scored apart from the search
+        # simplicial node, scored apart from the search.  Costs are added
+        # left to right, as the oracle sums a cut; they are nonnegative, so
+        # the scan stops once the partial sum exceeds the budget.
+        intact = model.intact
+        limit = budget + BUDGET_TOL
         for u in g.nodes:
-            spent = sum(cost[w - 1] for w in g.nodes if w != u)
-            if model.intact <= {u} and spent <= budget + BUDGET_TOL:
+            if not intact <= {u}:
+                continue
+            spent = 0.0
+            for w in g.nodes:
+                if w != u:
+                    spent += cost[w - 1]
+                    if spent > limit:
+                        break
+            else:
                 bit = 1 << (u - 1)
                 leaf(g._full_mask & ~bit, [bit], 1)
     stats.wall_time = time.perf_counter() - start

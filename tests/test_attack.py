@@ -26,6 +26,18 @@ def star(n):
     return Graph(n, [(1, i) for i in range(2, n + 1)])
 
 
+def assert_matches_oracle(g, budget, attackable=frozenset()):
+    """Same status, cut (tie-break included) and rupture as the oracle."""
+    res = solve_attack(AttackModel(g, budget, attackable or frozenset()))
+    ref = worst_cut_oracle(g, budget, attackable or None)
+    if ref is None:
+        assert res.status == STATUS_INFEASIBLE
+    else:
+        assert res.status == STATUS_OPTIMAL
+        assert res.cut.nodes == ref[0].nodes
+        assert res.score.rupture == ref[1].rupture
+
+
 class TestAttackModel:
     def test_defaults_to_all_attackable(self):
         m = AttackModel(path_graph(4), 1.0)
@@ -135,27 +147,64 @@ class TestAgainstOracleRandom:
             if i % 3 == 0:
                 attackable = frozenset(rng.sample(range(1, n + 1), n * 2 // 3))
             g = Graph(n, inst.edges, attack_cost=costs)
-            budget = float(rng.randint(2, 4))
-            res = solve_attack(AttackModel(g, budget, attackable))
-            ref = worst_cut_oracle(g, budget, attackable or None)
-            if ref is None:
-                assert res.status == STATUS_INFEASIBLE
-            else:
-                assert res.status == STATUS_OPTIMAL
-                assert res.cut.nodes == ref[0].nodes
-                assert res.score.rupture == ref[1].rupture
+            assert_matches_oracle(g, float(rng.randint(2, 4)), attackable)
+
+    def test_dense_graphs(self):
+        # 3n edges and budgets 1-4 leave few large components, where the
+        # pigeonhole term on the largest component prunes
+        rng = random.Random(31)
+        for i in range(40):
+            n = rng.randint(12, 16)
+            config = BenchConfig(seed=rng.randrange(10**6), count=1,
+                                 n_min=n, n_max=n, edge_count=3 * n)
+            inst = gen_random(config)[0]
+            costs = inst.attack_cost
+            if i % 2:
+                costs = [rng.choice([0.0, 0.5, 1.0, 2.0]) for _ in range(n)]
+            attackable = frozenset()
+            if i % 4 == 0:
+                attackable = frozenset(rng.sample(range(1, n + 1), n * 3 // 4))
+            g = Graph(n, inst.edges, attack_cost=costs)
+            assert_matches_oracle(g, float(rng.randint(1, 4)), attackable)
+
+    def test_pigeonhole_term_is_exact(self):
+        # cuts of 5 and 6 nodes tie at rupture -4; a pigeonhole term larger
+        # by one when W divides n - f prunes the 5-node cut, which the
+        # cardinality tie-break picks
+        edges = [(1, 2), (1, 7), (1, 9), (1, 10), (2, 3), (2, 6), (2, 7),
+                 (2, 10), (3, 4), (3, 6), (5, 6), (5, 7), (5, 8), (5, 9),
+                 (5, 11), (6, 10), (7, 8), (7, 9), (7, 11), (8, 10),
+                 (8, 11), (9, 11)]
+        costs = (0.0, 1.0, 3.0, 0.5, 0.5, 0.5, 0.0, 0.25, 3.0, 1.0, 2.0)
+        g = graph(11, edges, costs)
+        res = solve_attack(AttackModel(g, 11.0))
+        assert res.cut.nodes == worst_cut_oracle(g, 11.0)[0].nodes
+        assert res.cut.nodes == frozenset({2, 6, 7, 8, 9})
+        assert res.score.rupture == -4
 
 
 class TestSearchCounter:
     def test_nodes_explored_pinned(self):
         # exact and deterministic; 33,334 nodes with the bound that counted
         # every undecided node as a possible new component, 7,870 while
-        # simplicial nodes were still branched on.  A looser bound raises
+        # simplicial nodes were still branched on, 3,597 before the
+        # pigeonhole term on the largest component.  A looser bound raises
         # this count.
         inst = gen_random(BenchConfig(seed=7, count=1, n_min=20, n_max=20))[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 7, 11, 16, 17, 19})
-        assert res.stats.nodes_explored == 3597
+        assert res.stats.nodes_explored == 3485
+
+    def test_dense_budget_four_pinned(self):
+        # 3n edges at budget 4, the attack benchmark's shape, where the
+        # pigeonhole term prunes most: 58,882 nodes without it
+        config = BenchConfig(seed=0, count=1, n_min=26, n_max=26,
+                             edge_count=78, budget_attack=4.0)
+        inst = gen_random(config)[0]
+        res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
+        assert res.cut.nodes == frozenset({6, 19, 22, 26})
+        assert res.score.rupture == -21
+        assert res.stats.nodes_explored == 7724
 
 
 def clique_edges(k):
@@ -197,15 +246,24 @@ SIMPLICIAL_CASES = {
 class TestSimplicialReduction:
     @pytest.mark.parametrize("name", sorted(SIMPLICIAL_CASES))
     def test_matches_oracle(self, name):
-        g, budget, attackable = SIMPLICIAL_CASES[name]
-        res = solve_attack(AttackModel(g, budget, attackable or frozenset()))
-        ref = worst_cut_oracle(g, budget, attackable)
-        if ref is None:
-            assert res.status == STATUS_INFEASIBLE
-        else:
-            assert res.status == STATUS_OPTIMAL
-            assert res.cut.nodes == ref[0].nodes
-            assert res.score.rupture == ref[1].rupture
+        assert_matches_oracle(*SIMPLICIAL_CASES[name])
+
+    def test_single_survivor_budget_met_exactly(self):
+        # K5 keeps every node, so only the single-survivor scan finds a cut;
+        # fractional costs summed left to right meet the budget exactly
+        costs = (0.1, 0.2, 0.3, 0.4, 0.7)
+        g = graph(5, clique_edges(5), costs)
+        budget = 0.0
+        for c in costs[:4]:
+            budget += c
+        res = solve_attack(AttackModel(g, budget))
+        assert res.status == STATUS_OPTIMAL
+        assert res.cut.nodes == frozenset({1, 2, 3, 4})
+        assert res.cut.nodes == worst_cut_oracle(g, budget)[0].nodes
+        # below the budget's tolerance no single-survivor cut is affordable
+        res = solve_attack(AttackModel(g, budget - 2e-9))
+        assert res.status == STATUS_INFEASIBLE
+        assert worst_cut_oracle(g, budget - 2e-9) is None
 
     def test_cases_hold_single_survivor_optima(self):
         # the table exercises the scan of single-survivor cuts
@@ -219,11 +277,13 @@ class TestSimplicialReduction:
 @st.composite
 def attack_models(draw):
     """Connected graphs on 1-8 nodes (paths, stars, cliques, random trees
-    plus extra edges), attack costs from a small palette, budgets from zero
-    to n, and an optional restricted attackable set."""
+    plus extra edges, dense graphs with about 3n edges), attack costs from a
+    small palette, budgets from zero to n, and an optional restricted
+    attackable set."""
     n = draw(st.integers(1, 8))
     # trees drawn twice as often: they admit the most distinct cuts
-    shape = draw(st.sampled_from(["path", "star", "clique", "tree", "tree"]))
+    shape = draw(st.sampled_from(
+        ["path", "star", "clique", "tree", "tree", "dense"]))
     if shape == "path":
         edges = [(v, v + 1) for v in range(1, n)]
     elif shape == "star":
@@ -233,7 +293,11 @@ def attack_models(draw):
     else:
         edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
         others = [p for p in combinations(range(1, n + 1), 2) if p not in edges]
-        if others:
+        if shape == "dense":
+            # 3n edges as in the attack benchmark, where the pigeonhole
+            # term on the largest component prunes
+            edges += draw(st.permutations(others))[:2 * n + 1]
+        elif others:
             edges += draw(st.lists(st.sampled_from(others), max_size=n,
                                    unique=True))
     costs = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
