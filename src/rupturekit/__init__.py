@@ -7,7 +7,6 @@ from .attack import (
     AttackModel,
     AttackResult,
     solve_attack,
-    solve_attack_relaxed,
 )
 from .cuts import (
     Cover,

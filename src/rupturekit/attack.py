@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import InputError
 from .graph import (
@@ -83,14 +83,21 @@ class AttackResult:
     score: Optional[RuptureScore] = None
     partition: Optional[ComponentPartition] = None
     stats: SolverStats = field(default_factory=SolverStats)
-    # continuous optima of the relaxed variant, populated by
-    # solve_attack_relaxed; integral at optimality
-    relaxed_alpha: Optional[float] = None
-    relaxed_b: Optional[tuple[float, ...]] = None
 
     @property
     def objective(self) -> Optional[int]:
         return None if self.score is None else self.score.rupture
+
+
+def scored_cut(g: Graph, nodes: Iterable[int],
+               stats: Optional[SolverStats] = None) -> AttackResult:
+    """A removal set scored as an optimal stage-one result: the solver's
+    cut, or one given by the instance or the user.  A non-cut is scored
+    too, with is_cut False."""
+    nodes = frozenset(nodes)
+    score = rupture_score(g, nodes)
+    return AttackResult(STATUS_OPTIMAL, CutSet(nodes, score.is_cut), score,
+                        components(g, nodes), stats or SolverStats())
 
 
 def _is_simplicial(adj: list[int], v: int) -> bool:
@@ -269,36 +276,6 @@ def solve_attack(model: AttackModel) -> AttackResult:
 
     if best[0] is None:
         return AttackResult(STATUS_INFEASIBLE, stats=stats)
-    _, _, nodes = best[0]
-    cut_set = CutSet(frozenset(nodes), True)
     # score and partition are recomputed independently of the search
-    score = rupture_score(g, cut_set)
-    part = components(g, cut_set.nodes)
-    return AttackResult(STATUS_OPTIMAL, cut_set, score, part, stats)
-
-
-def solve_attack_relaxed(model: AttackModel) -> AttackResult:
-    """Variant with the component-length and non-emptiness variables
-    continuous.
-
-    Once the removal set is fixed, the continuous optimum is attained in
-    closed form: the objective pushes the largest-component length down to
-    its binding value m and each non-emptiness indicator up to min(1, size),
-    both integral.  The engine therefore reuses the combinatorial search and
-    reports the continuous optimizers alongside.
-    """
-    result = solve_attack(model)
-    if result.status != STATUS_OPTIMAL:
-        return result
-    assert result.partition is not None and result.score is not None
-    alpha = float(result.partition.largest_size)
-    b = tuple(1.0 if size > 0 else 0.0 for size in result.partition.sizes)
-    n = model.graph.n
-    survivors = n - result.score.cut_size
-    relaxed_obj = -(n - survivors) - alpha + sum(b)
-    if abs(relaxed_obj - result.score.rupture) > 1e-9:
-        raise AssertionError("relaxed objective disagrees with the integer optimum")
-    result.relaxed_alpha = alpha
-    result.relaxed_b = b
-    return result
+    return scored_cut(g, best[0][2], stats)
 

@@ -17,13 +17,14 @@ from .attack import (
     STATUS_OPTIMAL,
     AttackModel,
     AttackResult,
-    SolverStats,
+    scored_cut,
     solve_attack,
 )
 from .errors import InputError, OracleMismatchError
-from .graph import CutSet, Graph, components, rupture_score, worst_cut_oracle
+from .graph import Graph, worst_cut_oracle
 from .model_io import InstanceFile
 from .response import (
+    MceicMatrix,
     ReconstructionPlan,
     ResponseModel,
     brute_force_response,
@@ -150,14 +151,45 @@ class PipelineOutcome:
         return f"{self.instance_name}: " + "  ".join(cells)
 
 
-def _designated_attack(inst: InstanceFile) -> AttackResult:
-    """Stage one skipped: the removal set is given, only scoring remains."""
-    g = inst.to_graph()
-    cut = CutSet(frozenset(inst.attack_nodes), is_cut=True)
-    score = rupture_score(g, cut)
-    cut = CutSet(cut.nodes, score.is_cut)
-    part = components(g, cut.nodes)
-    return AttackResult(STATUS_OPTIMAL, cut, score, part, SolverStats())
+def attack_model(inst: InstanceFile, budget: Optional[float] = None,
+                 attackable: frozenset[int] = frozenset()) -> AttackModel:
+    """Stage-one model.  The budget is `budget`, else the file's, else
+    floor(n/2); a nonempty `attackable` replaces the file's set."""
+    if budget is None:
+        budget = inst.budget_attack
+    if budget is None:
+        budget = default_attack_budget(inst.n)
+    return AttackModel(inst.to_graph(), budget,
+                       attackable or inst.attackable_nodes())
+
+
+def attack_stage(inst: InstanceFile, oracle_check: bool = False
+                 ) -> tuple[AttackModel, AttackResult]:
+    """The instance's attack model and stage-one result: for designated
+    and random attacks the given removal set, scored; otherwise the
+    worst-case cut."""
+    model = attack_model(inst)
+    if inst.attack_type in ("designated", "random"):
+        return model, scored_cut(model.graph, inst.attack_nodes)
+    res = solve_attack(model)
+    if oracle_check:
+        check_attack_oracle(model, res)
+    return model, res
+
+
+def response_model(g: Graph, attack: AttackResult, budget: Optional[float],
+                   power: bool = False,
+                   mceic: Optional[MceicMatrix] = None) -> ResponseModel:
+    """Stage-two model after `attack`'s cut; a `budget` of None or
+    math.inf is unlimited.  A sweep passes the MCEIC matrix it built once."""
+    part = attack.partition
+    if mceic is None:
+        mceic = mceic_matrix(g, part)
+    if budget is not None and math.isinf(budget):
+        budget = None
+    return ResponseModel(part, mceic, budget, attack.score.cut_size,
+                         classify_components(g, part) if power else None,
+                         power)
 
 
 def run_pipeline(
@@ -167,37 +199,14 @@ def run_pipeline(
     power: bool = False,
 ) -> PipelineOutcome:
     """attack -> response -> dynamic worst cut on one instance."""
-    g = inst.to_graph()
-    if inst.attack_type in ("designated", "random"):
-        attack_res = _designated_attack(inst)
-        model = AttackModel(g, inst.budget_attack
-                            if inst.budget_attack is not None
-                            else default_attack_budget(inst.n))
-    else:
-        budget = (inst.budget_attack if inst.budget_attack is not None
-                  else default_attack_budget(inst.n))
-        model = AttackModel(g, budget, inst.attackable_nodes())
-        attack_res = solve_attack(model)
-        if oracle_check:
-            check_attack_oracle(model, attack_res)
-
-    if attack_res.status != STATUS_OPTIMAL or attack_res.partition is None:
+    model, attack_res = attack_stage(inst, oracle_check)
+    if attack_res.status != STATUS_OPTIMAL:
         return PipelineOutcome(name, inst, attack_res, None, None)
-
-    part = attack_res.partition
-    assert attack_res.score is not None
-    mc = mceic_matrix(g, part)
-    comp_class = classify_components(g, part) if power else None
-    budget_r = inst.budget_response
-    if budget_r is not None and math.isinf(budget_r):
-        budget_r = None
-    rm = ResponseModel(part, mc, budget_r, attack_res.score.cut_size,
-                       comp_class, power)
+    rm = response_model(model.graph, attack_res, inst.budget_response, power)
     plan = solve_response(rm)
     if oracle_check:
         check_response_oracle(rm, plan)
-
-    dynamic = dynamic_worst_cut(g, plan, model)
+    dynamic = dynamic_worst_cut(model.graph, plan, model)
     return PipelineOutcome(name, inst, attack_res, plan, dynamic)
 
 
@@ -234,31 +243,20 @@ def sweep_budget(
 ) -> list[str]:
     """CSV rows (budget, links_added, resilience, robustness) for a grid of
     response budgets against the fixed worst-case attack."""
-    g = inst.to_graph()
-    budget_a = (inst.budget_attack if inst.budget_attack is not None
-                else default_attack_budget(inst.n))
-    if inst.attack_type in ("designated", "random"):
-        attack_res = _designated_attack(inst)
-    else:
-        model = AttackModel(g, budget_a, inst.attackable_nodes())
-        attack_res = solve_attack(model)
-    if attack_res.status != STATUS_OPTIMAL or attack_res.partition is None:
+    model, attack_res = attack_stage(inst)
+    if attack_res.status != STATUS_OPTIMAL:
         raise InputError("budget sweep requires a solvable attack stage")
-    part = attack_res.partition
-    assert attack_res.score is not None
-    mc = mceic_matrix(g, part)
+    g = model.graph
+    mc = mceic_matrix(g, attack_res.partition)
     rows = [SWEEP_CSV_HEADER]
-    attack_model = AttackModel(g, budget_a, inst.attackable_nodes())
     # budgets that buy the same links rebuild the same network
     dynamic: dict[frozenset[tuple[int, int]], AttackResult] = {}
     for b in grid:
-        rm = ResponseModel(part, mc, None if math.isinf(b) else b,
-                           attack_res.score.cut_size)
-        plan = solve_response(rm)
+        plan = solve_response(response_model(g, attack_res, b, mceic=mc))
         key = frozenset(plan.links)
         dyn = dynamic.get(key)
         if dyn is None:
-            dyn = dynamic[key] = dynamic_worst_cut(g, plan, attack_model)
+            dyn = dynamic[key] = dynamic_worst_cut(g, plan, model)
         robustness = dyn.score.cut_size if dyn.score is not None else 0
         label = "unlimited" if math.isinf(b) else f"{b:.6f}"
         rows.append(

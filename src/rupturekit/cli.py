@@ -15,7 +15,7 @@ from typing import Optional
 import click
 
 from . import bench, model_io
-from .attack import STATUS_OPTIMAL, AttackModel, solve_attack, solve_attack_relaxed
+from .attack import STATUS_OPTIMAL, scored_cut, solve_attack
 from .cuts import KnapsackConstraint, cuts_for_knapsack
 from .errors import (
     EXIT_INFEASIBLE,
@@ -27,13 +27,7 @@ from .errors import (
     OracleMismatchError,
     SizeLimitError,
 )
-from .graph import CutSet, components, rupture_score
-from .response import (
-    ResponseModel,
-    classify_components,
-    mceic_matrix,
-    solve_response,
-)
+from .response import solve_response
 
 
 def _fail(exc: Exception) -> "int":
@@ -118,23 +112,14 @@ def gen(seed, count, n_min, n_max, edge_count, budget_attack, budget_response, o
 @click.argument("instance", type=click.Path())
 @click.option("--budget-attack", default=None)
 @click.option("--attackable", default=None, help="restrict removals to these nodes")
-@click.option("--relaxed", is_flag=True, help="also report the continuous optimizers")
 @click.option("--oracle-check", is_flag=True)
-def attack(instance, budget_attack, attackable, relaxed, oracle_check):
+def attack(instance, budget_attack, attackable, oracle_check):
     """Solve the worst-case removal for one instance."""
     try:
         inst = _load(instance)
-        g = inst.to_graph()
-        budget = _parse_budget(budget_attack)
-        if budget is None:
-            budget = (inst.budget_attack if inst.budget_attack is not None
-                      else bench.default_attack_budget(inst.n))
-        if math.isinf(budget):
-            raise InputError("attack budget cannot be unlimited")
-        nodes = frozenset(_parse_nodes(attackable)) or inst.attackable_nodes()
-        model = AttackModel(g, budget, nodes)
-        solver = solve_attack_relaxed if relaxed else solve_attack
-        res = solver(model)
+        model = bench.attack_model(inst, _parse_budget(budget_attack),
+                                   frozenset(_parse_nodes(attackable)))
+        res = solve_attack(model)
         if oracle_check:
             bench.check_attack_oracle(model, res)
         if res.status != STATUS_OPTIMAL:
@@ -156,18 +141,11 @@ def respond(instance, cut_x, budget_response, power_constraint, oracle_check):
     try:
         inst = _load(instance)
         g = inst.to_graph()
-        cut = _parse_nodes(cut_x)
-        score = rupture_score(g, CutSet(frozenset(cut), True))
-        part = components(g, cut)
+        cut = scored_cut(g, _parse_nodes(cut_x))
         budget = _parse_budget(budget_response)
         if budget is None:
             budget = inst.budget_response
-        if budget is not None and math.isinf(budget):
-            budget = None
-        mc = mceic_matrix(g, part)
-        classes = classify_components(g, part) if power_constraint else None
-        rm = ResponseModel(part, mc, budget, score.cut_size,
-                           classes, power_constraint)
+        rm = bench.response_model(g, cut, budget, power_constraint)
         plan = solve_response(rm)
         if oracle_check:
             bench.check_response_oracle(rm, plan)
@@ -258,18 +236,16 @@ def rupture(instance, cut_x):
     """Score a given removal set on an instance."""
     try:
         inst = _load(instance)
-        g = inst.to_graph()
-        cut = _parse_nodes(cut_x)
-        score = rupture_score(g, CutSet(frozenset(cut), True))
-        part = components(g, cut)
+        res = scored_cut(inst.to_graph(), _parse_nodes(cut_x))
+        score = res.score
         click.echo(json.dumps({
-            "cut": sorted(cut),
+            "cut": sorted(res.cut.nodes),
             "is_cut": score.is_cut,
             "rupture": score.rupture,
             "resilience": score.resilience,
             "largest_component": score.largest,
             "component_count": score.count,
-            "components": [list(c) for c in part.components],
+            "components": [list(c) for c in res.partition.components],
         }, indent=2, sort_keys=True))
     except Exception as exc:  # noqa: BLE001
         _fail(exc)

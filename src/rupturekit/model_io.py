@@ -321,9 +321,6 @@ def result_to_dict(
                 component_count=res.score.count,
                 components=[list(c) for c in res.partition.components],
             )
-        if res.relaxed_alpha is not None:
-            d["relaxed_alpha"] = res.relaxed_alpha
-            d["relaxed_b"] = list(res.relaxed_b)
         return d
 
     return {

@@ -32,8 +32,10 @@ HAS_GENERATOR = "has-generator"
 # Python 3.11: evaluating all 2^16 groups took at most 1.3 s over a grid of
 # budgets, and the incumbent bound cut the worst case seen to 0.4 s.
 SOLVER_MAX_COMPONENTS = 16
-POWER_MAX_COMPONENTS = 12   # Bell(12) set partitions on the power path
 ORACLE_MAX_LINKS = 21   # covers up to 7 components
+# Components the power path takes when some component has a generator.  It
+# enumerates Bell(s) set partitions, the first being the one group of all s
+# components, and each group's link subsets: 2^21 of them at s = 7.
 POWER_GROUP_MAX = 7
 
 
@@ -249,11 +251,6 @@ def _connect_group(
         return [], 0.0
     if all(classes[c - 1] == LOAD_ONLY for c in group):
         return None  # any connecting tree contains an unjustifiable load-load link
-    if len(group) > POWER_GROUP_MAX:
-        raise SizeLimitError(
-            f"power-constrained group of {len(group)} components exceeds "
-            f"the enumeration cap {POWER_GROUP_MAX}"
-        )
     links = _group_links(group)
     best: Optional[tuple[float, tuple[int, ...], list[tuple[int, int]]]] = None
     sorted_costs = sorted(mceic.pair_cost(*p) for p in links)
@@ -423,12 +420,14 @@ def solve_response(m: ResponseModel) -> ReconstructionPlan:
     Redundant links never enter a plan, except a backing link to a
     generator component under the power rule.  Ties on the objective break
     by total cost, then by the sorted flattened link positions.  With at
-    most one component the plan is empty.
+    most one component the plan is empty, and so it is under the power rule
+    when no component has a generator: every link then joins two load-only
+    components and nothing can back it.
     """
     s = m.partition.count
-    if s <= 1:
+    if s <= 1 or (m.power_constraint and HAS_GENERATOR not in m.component_class):
         return _plan_from_selection(m, [])
-    cap = POWER_MAX_COMPONENTS if m.power_constraint else SOLVER_MAX_COMPONENTS
+    cap = POWER_GROUP_MAX if m.power_constraint else SOLVER_MAX_COMPONENTS
     if s > cap:
         raise SizeLimitError(
             f"{s} components exceed the response solver cap {cap}"

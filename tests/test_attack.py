@@ -11,7 +11,6 @@ from rupturekit.attack import (
     STATUS_OPTIMAL,
     AttackModel,
     solve_attack,
-    solve_attack_relaxed,
 )
 from rupturekit.bench import BenchConfig, gen_random
 from rupturekit.errors import InputError
@@ -95,26 +94,6 @@ class TestSolveAttack:
         g = Graph(4, [(1, 2), (3, 4)])
         with pytest.raises(InputError):
             solve_attack(AttackModel(g, 1.0))
-
-
-class TestRelaxation:
-    def test_relaxed_matches_integer_optimum(self):
-        res = solve_attack_relaxed(AttackModel(star(6), 2.0))
-        assert res.relaxed_alpha == 1.0
-        assert all(b in (0.0, 1.0) for b in res.relaxed_b)
-
-    def test_relaxed_on_random_instances(self):
-        for inst in gen_random(BenchConfig(seed=5, count=10, n_min=6, n_max=9)):
-            model = AttackModel(inst.to_graph(), inst.budget_attack)
-            exact = solve_attack(model)
-            relaxed = solve_attack_relaxed(model)
-            if exact.status != STATUS_OPTIMAL:
-                assert relaxed.status != STATUS_OPTIMAL
-                continue
-            assert relaxed.score.rupture == exact.score.rupture
-            assert abs(relaxed.relaxed_alpha - round(relaxed.relaxed_alpha)) <= 1e-9
-            for b in relaxed.relaxed_b:
-                assert abs(b - round(b)) <= 1e-9
 
 
 class TestAgainstOracleRandom:
@@ -315,14 +294,14 @@ class TestSolverMatchesOracle:
     @given(attack_models())
     def test_same_cut_as_oracle(self, model):
         ref = worst_cut_oracle(model.graph, model.budget, model.attackable)
-        for res in (solve_attack(model), solve_attack_relaxed(model)):
-            if ref is None:
-                assert res.status == STATUS_INFEASIBLE
-                assert res.cut is None
-            else:
-                assert res.status == STATUS_OPTIMAL
-                assert res.cut.nodes == ref[0].nodes
-                assert res.score.rupture == ref[1].rupture
+        res = solve_attack(model)
+        if ref is None:
+            assert res.status == STATUS_INFEASIBLE
+            assert res.cut is None
+        else:
+            assert res.status == STATUS_OPTIMAL
+            assert res.cut.nodes == ref[0].nodes
+            assert res.score.rupture == ref[1].rupture
 
 
 class TestSimplicialNodesKept:

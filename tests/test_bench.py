@@ -131,3 +131,15 @@ class TestSweep:
         reattacked = attacked[1:]
         assert len(reattacked) == len(set(reattacked))
         assert len(reattacked) < len(grid)
+
+    def test_mceic_matrix_built_once_per_sweep(self, monkeypatch):
+        built = []
+
+        def counting_mceic_matrix(g, part):
+            built.append(part)
+            return response.mceic_matrix(g, part)
+
+        monkeypatch.setattr(bench, "mceic_matrix", counting_mceic_matrix)
+        rows = sweep_budget(star_instance(), [0.0, 1.0, 2.0, math.inf])
+        assert len(rows) == 5
+        assert len(built) == 1

@@ -61,6 +61,12 @@ class TestAttackCommand:
         res = runner.invoke(main, ["attack", "missing.txt"])
         assert res.exit_code == 3
 
+    def test_unlimited_budget_is_input_error(self, runner, nine_node_path):
+        res = runner.invoke(main, ["attack", str(nine_node_path),
+                                   "--budget-attack", "unlimited"])
+        assert res.exit_code == 3
+        assert "attack budget must be finite" in res.output
+
 
 class TestRespondCommand:
     def test_nine_node_budget(self, runner, nine_node_path):
@@ -137,6 +143,92 @@ class TestOneSurvivingComponent:
         doc = json.loads(res.output)
         assert doc["response"]["links"] == []
         assert doc["response"]["resilience"] == 3
+
+
+def nine_node_variant(nine_node_path, tmp_path, attack_line, budget="1.000000"):
+    """nine_node.txt with another ATTACK line and attack budget."""
+    text = nine_node_path.read_text()
+    text = text.replace("\ntargeted\n", f"\n{attack_line}\n")
+    text = text.replace("\nattack 1.000000\n", f"\nattack {budget}\n")
+    path = tmp_path / f"{attack_line.split()[0]}.txt"
+    path.write_text(text)
+    return path
+
+
+class TestStageWiring:
+    """Attack types and command-line overrides reach each stage."""
+
+    @pytest.fixture
+    def designated(self, nine_node_path, tmp_path):
+        return nine_node_variant(nine_node_path, tmp_path, "designated 5 6")
+
+    @pytest.fixture
+    def distributed(self, nine_node_path, tmp_path):
+        return nine_node_variant(nine_node_path, tmp_path,
+                                 "distributed 1 5 6", "2.000000")
+
+    def test_pipeline_designated(self, runner, designated):
+        # the given cut {5, 6} is scored; the re-attack at budget 1 finds no cut
+        res = runner.invoke(main, ["pipeline", str(designated), "--csv"])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1] == (
+            "designated.txt,9,9,5.300000,10,2,0,8,,")
+
+    def test_pipeline_distributed(self, runner, distributed):
+        res = runner.invoke(main, ["pipeline", str(distributed), "--csv",
+                                   "--oracle-check"])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1] == (
+            "distributed.txt,9,9,5.300000,10,1,-1,8,2,6")
+
+    def test_sweep_designated(self, runner, designated):
+        res = runner.invoke(main, ["sweep", str(designated),
+                                   "--grid", "0,1,1.5,2.5,unlimited"])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1:] == [
+            "0.000000,0,0,1", "1.000000,1,1,1", "1.500000,1,2,1",
+            "2.500000,2,4,1", "unlimited,4,8,0"]
+
+    def test_sweep_distributed(self, runner, distributed):
+        # the re-attacks keep the file's attackable set {1, 5, 6}
+        res = runner.invoke(main, ["sweep", str(distributed),
+                                   "--grid", "0,1,1.5,2.5,unlimited"])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1:] == [
+            "0.000000,0,-1,1", "1.000000,1,0,1", "1.500000,1,1,2",
+            "2.500000,2,3,1", "unlimited,4,8,2"]
+
+    def test_attack_overrides(self, runner, nine_node_path):
+        # the file's budget is 1.0; at 2.0 over {1, 2, 3, 6} the cut is {1, 6}
+        res = runner.invoke(main, ["attack", str(nine_node_path),
+                                   "--budget-attack", "2",
+                                   "--attackable", "1,2,3,6", "--oracle-check"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)["attack"]
+        assert doc["cut"] == [1, 6]
+        assert doc["rupture"] == -3
+        assert doc["components"] == [[2, 3], [4, 5, 8, 9], [7]]
+
+    def test_attackable_overrides_distributed_set(self, runner, distributed):
+        res = runner.invoke(main, ["attack", str(distributed)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["attack"]["cut"] == [5]
+        # removing 2 and 3 leaves the rest connected
+        res = runner.invoke(main, ["attack", str(distributed),
+                                   "--attackable", "2 3"])
+        assert res.exit_code == 2, res.output
+
+    def test_respond_unlimited_overrides_file_budget(self, runner, ieee14_path):
+        # the file's response budget of 3.0 buys two links
+        res = runner.invoke(main, ["respond", str(ieee14_path),
+                                   "--cut-x", "2 4 6 9",
+                                   "--budget-response", "unlimited",
+                                   "--oracle-check"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)["response"]
+        assert doc["links"] == [[1, 12], [3, 8], [8, 11], [7, 14]]
+        assert doc["total_cost"] == 6.3
+        assert doc["resilience"] == 13
 
 
 class TestRespondErrors:
@@ -337,6 +429,15 @@ class TestRuptureCommand:
         doc = json.loads(res.output)
         assert doc["rupture"] == 1
         assert doc["component_count"] == 5
+
+    def test_duplicate_nodes_print_the_scored_cut(self, runner, nine_node_path):
+        once = runner.invoke(main, ["rupture", str(nine_node_path),
+                                    "--cut-x", "5"])
+        twice = runner.invoke(main, ["rupture", str(nine_node_path),
+                                     "--cut-x", "5 5"])
+        assert twice.exit_code == 0, twice.output
+        assert json.loads(twice.output)["cut"] == [5]
+        assert twice.output == once.output
 
 
 class TestGenCommand:

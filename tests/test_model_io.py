@@ -299,3 +299,48 @@ def test_export_row_count_matches_text(request, name, which, cut, power, digest)
     if power:
         loads = classify_components(inst.to_graph(), part).count("load-only")
     assert export_row_count(which, inst.n, part, loads) == end - start
+
+
+LP_TEXT = """\
+\\ a hand-written model in the exporter's LP subset
+Minimize
+ obj: -x - 2.000000 y + 0.500000 z + 3.000000
+Subject To
+ c1: x + y + z <= 3.000000
+ c2: -y + x = 0.000000
+ c3: 2.000000 z >= 0.500000
+Bounds
+ z >= 0.250000
+Binaries
+ x
+ y
+Generals
+ z
+End
+"""
+
+
+class TestLpText:
+    """The test-side LP reader that feeds exports to scipy's MIP solver."""
+
+    def test_parse(self):
+        from lp_text import parse_lp
+
+        lp = parse_lp(LP_TEXT)
+        assert lp["names"] == ["x", "y", "z"]
+        assert lp["c"].tolist() == [-1.0, -2.0, 0.5]
+        assert lp["constant"] == 3.0
+        assert lp["A"].tolist() == [[1, 1, 1], [1, -1, 0], [0, 0, 2]]
+        assert lp["lb"].tolist() == [-math.inf, 0.0, 0.5]
+        assert lp["ub"].tolist() == [3.0, 0.0, math.inf]
+        assert lp["bounds"][0].tolist() == [0.0, 0.0, 0.25]
+        assert lp["bounds"][1].tolist() == [1.0, 1.0, math.inf]
+        assert lp["integral"].tolist() == [1, 1, 1]
+
+    def test_solve(self):
+        pytest.importorskip("scipy")
+        from lp_text import parse_lp, solve_lp
+
+        objective, x = solve_lp(parse_lp(LP_TEXT))
+        assert objective == pytest.approx(0.5)
+        assert [round(x[v]) for v in "xyz"] == [1, 1, 1]

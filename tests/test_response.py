@@ -12,7 +12,7 @@ from rupturekit.graph import Graph, components, rupture_score
 from rupturekit.response import (
     HAS_GENERATOR,
     LOAD_ONLY,
-    POWER_MAX_COMPONENTS,
+    POWER_GROUP_MAX,
     SOLVER_MAX_COMPONENTS,
     ResponseModel,
     apply_power_constraint,
@@ -181,10 +181,39 @@ class TestDegenerateAndCaps:
             solve_response(singletons_model(SOLVER_MAX_COMPONENTS + 1))
 
     def test_power_cap_exceeded(self):
-        s = POWER_MAX_COMPONENTS + 1
+        s = 13
         classes = (HAS_GENERATOR,) + (LOAD_ONLY,) * (s - 1)
         with pytest.raises(SizeLimitError):
             solve_response(singletons_model(s, classes=classes))
+
+    def test_power_cap_checked_before_enumeration(self, monkeypatch):
+        def forbidden(s):
+            raise AssertionError("set partitions enumerated past the cap")
+
+        monkeypatch.setattr(response, "_set_partitions", forbidden)
+        s = POWER_GROUP_MAX + 1
+        classes = (LOAD_ONLY,) * (s - 1) + (HAS_GENERATOR,)
+        for budget in (3.0, None):
+            with pytest.raises(SizeLimitError):
+                solve_response(singletons_model(s, budget, classes))
+
+    def test_power_cap_is_solved(self):
+        s = POWER_GROUP_MAX
+        classes = (HAS_GENERATOR,) + (LOAD_ONLY,) * (s - 1)
+        m = singletons_model(s, budget=3.0, classes=classes)
+        assert solve_response(m).selected == brute_force_response(m).selected
+
+    def test_power_without_generator_is_empty_plan(self, monkeypatch):
+        # every link joins two load-only components, so none can be backed
+        def forbidden(s):
+            raise AssertionError("set partitions enumerated")
+
+        monkeypatch.setattr(response, "_set_partitions", forbidden)
+        s = 13
+        m = singletons_model(s, classes=(LOAD_ONLY,) * s)
+        plan = solve_response(m)
+        assert plan.selected == () and plan.links == ()
+        assert plan.rupture == -1 + s
 
 
 @st.composite
