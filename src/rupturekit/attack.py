@@ -137,6 +137,20 @@ def solve_attack(model: AttackModel) -> AttackResult:
     The remove branch recurses and the keep branch loops, so the recursion
     depth is the number of removals plus one.
 
+    The frontier term bounds |X| + m from below.  Each kept component C
+    carries its neighbour mask next to its node mask; let D(C) be its
+    undecided neighbours.  In any completion X each node of D(C) is either
+    removed, adding one to |X|, or survives next to C, adding one to C's
+    final component, so |X| + m >= f + |C| + |D(C)|.  Down the tree this
+    sum never decreases: a removal adds one to f and takes at most one
+    node out of D(C); keeping a node of D(C) moves it into C, and the
+    merged component's neighbours include the rest of D(C); keeping any
+    other node leaves C and D(C) as they are.  So the search carries the
+    running maximum g_lo as one integer, taken over the intact and
+    simplicial components at the root and then over each component the
+    keep branch merges, and the bound reads
+    r <= W - max(f + max(1, m(K)), g_lo) besides the pigeonhole term.
+
     Simplicial nodes, whose neighbours are pairwise adjacent (every
     degree-1 node is one), are never branched on: attackable ones are kept
     from the start, like intact nodes.  This is exact.  Let X be a cut set
@@ -169,7 +183,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
     # best = (rupture, |X|, sorted node tuple)
     best: list[Optional[tuple[int, int, tuple[int, ...]]]] = [None]
 
-    def leaf(removed_mask: int, comps: list[int], m_k: int) -> None:
+    def leaf(removed_mask: int, comps: list[tuple[int, int]], m_k: int) -> None:
         # every node is decided, so the survivors are exactly K
         omega = len(comps)
         if not (omega >= 2 or (omega == 1 and m_k == 1)):
@@ -181,7 +195,8 @@ def solve_attack(model: AttackModel) -> AttackResult:
             best[0] = cand
 
     def dfs(idx: int, removed_mask: int, spent: float,
-            comps: list[int], m_k: int, nbr_k: int) -> None:
+            comps: list[tuple[int, int]], m_k: int, nbr_k: int,
+            g_lo: int) -> None:
         # One call per removal: the remove branch recurses and the keep
         # branch rebinds the state and loops, so f is fixed per call.  A
         # comps list is never mutated, since the remove branch shares it.
@@ -195,7 +210,8 @@ def solve_attack(model: AttackModel) -> AttackResult:
                 # and u undecided nodes outside N(K), any completion removes
                 # t >= 0 more nodes, so |X| = f + t.  Components of the
                 # subgraph induced on K stay connected in any completion,
-                # hence m >= max(1, m(K)).  A surviving component without a
+                # hence m >= max(1, m(K)), and m + |X| >= g_lo (the frontier
+                # term, see the docstring).  A surviving component without a
                 # node of K holds no node of N(K), since such a node is
                 # joined to K, so it holds one of the u - t' surviving
                 # undecided nodes outside N(K), where t' <= t of those u are
@@ -203,13 +219,15 @@ def solve_attack(model: AttackModel) -> AttackResult:
                 # Hence omega <= W = comp(K) + u, and the n - f - t
                 # survivors fill at most W components, so by pigeonhole
                 # m >= ceil((n-f-t) / W).  Then
-                #   r <= -(f+t) - max(1, m(K), ceil((n-f-t) / W)) + W
-                #     <= -f - max(1, m(K), ceil((n-f) / W)) + W,
+                #   r <= W - max(f + t + max(1, m(K)), g_lo,
+                #                f + t + ceil((n-f-t) / W))
+                #     <= W - max(f + max(1, m(K)), g_lo, f + ceil((n-f) / W)),
                 # since ceil((n-f) / W) <= ceil((n-f-t) / W) + t: t = 0 is
                 # the worst case and the budget never enters.
                 w = len(comps) + (undecided[idx] & ~nbr_k).bit_count()
                 m_lo = m_k if m_k > 1 else 1
-                bound = w - f - m_lo
+                lo = f + m_lo
+                bound = w - (lo if lo > g_lo else g_lo)
                 # equal-bound subtrees with f > |best X| cannot improve the
                 # cardinality-then-lex tie-break
                 if bound < b[0] or (bound == b[0] and f > b[1]):
@@ -229,30 +247,44 @@ def solve_attack(model: AttackModel) -> AttackResult:
             # branch: remove v
             new_spent = spent + cost[v - 1]
             if new_spent <= budget + BUDGET_TOL:
-                dfs(idx + 1, removed_mask | bit, new_spent, comps, m_k, nbr_k)
+                dfs(idx + 1, removed_mask | bit, new_spent, comps, m_k, nbr_k,
+                    g_lo)
             # branch: keep v, merged with every kept component it touches
             adj_v = adj[v]
             merged = bit
+            merged_nbr = adj_v
             kept = []
             for c in comps:
-                if c & adj_v:
-                    merged |= c
+                if c[0] & adj_v:
+                    merged |= c[0]
+                    merged_nbr |= c[1]
                 else:
                     kept.append(c)
-            kept.append(merged)
+            kept.append((merged, merged_nbr))
             comps = kept
             size = merged.bit_count()
             if size > m_k:
                 m_k = size
             nbr_k |= adj_v
             idx += 1
+            frontier = f + size + (merged_nbr & undecided[idx]).bit_count()
+            if frontier > g_lo:
+                g_lo = frontier
 
     always_kept = model.intact | fixed
-    comps = _component_masks(adj, _nodes_to_mask(always_kept))
+    comps = []
+    for c in _component_masks(adj, _nodes_to_mask(always_kept)):
+        c_nbr = 0
+        for v in _mask_to_nodes(c):
+            c_nbr |= adj[v]
+        comps.append((c, c_nbr))
     nbr = 0
-    for v in always_kept:
-        nbr |= adj[v]
-    dfs(0, 0, 0.0, comps, max((c.bit_count() for c in comps), default=0), nbr)
+    g_lo = m_k = 0
+    for c, c_nbr in comps:
+        nbr |= c_nbr
+        m_k = max(m_k, c.bit_count())
+        g_lo = max(g_lo, c.bit_count() + (c_nbr & undecided[0]).bit_count())
+    dfs(0, 0, 0.0, comps, m_k, nbr, g_lo)
     if fixed:
         # the single-survivor cuts V \ {u}, the only optima that may hold a
         # simplicial node, scored apart from the search.  Costs are added
@@ -271,7 +303,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
                         break
             else:
                 bit = 1 << (u - 1)
-                leaf(g._full_mask & ~bit, [bit], 1)
+                leaf(g._full_mask & ~bit, [(bit, adj[u])], 1)
     stats.wall_time = time.perf_counter() - start
 
     if best[0] is None:

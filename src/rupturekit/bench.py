@@ -20,7 +20,7 @@ from .attack import (
     scored_cut,
     solve_attack,
 )
-from .errors import InputError, OracleMismatchError
+from .errors import InfeasibleError, InputError, OracleMismatchError
 from .graph import Graph, worst_cut_oracle
 from .model_io import InstanceFile
 from .response import (
@@ -32,6 +32,7 @@ from .response import (
     dynamic_worst_cut,
     flatten,
     mceic_matrix,
+    rebuilt_model,
     solve_response,
 )
 
@@ -169,7 +170,7 @@ def attack_stage(inst: InstanceFile, oracle_check: bool = False
     and random attacks the given removal set, scored; otherwise the
     worst-case cut."""
     model = attack_model(inst)
-    if inst.attack_type in ("designated", "random"):
+    if inst.given_cut:
         return model, scored_cut(model.graph, inst.attack_nodes)
     res = solve_attack(model)
     if oracle_check:
@@ -198,7 +199,9 @@ def run_pipeline(
     oracle_check: bool = False,
     power: bool = False,
 ) -> PipelineOutcome:
-    """attack -> response -> dynamic worst cut on one instance."""
+    """attack -> response -> dynamic worst cut on one instance.  With
+    `oracle_check`, every solved stage is checked against its oracle: the
+    attack (unless the cut is given), the response and the re-attack."""
     model, attack_res = attack_stage(inst, oracle_check)
     if attack_res.status != STATUS_OPTIMAL:
         return PipelineOutcome(name, inst, attack_res, None, None)
@@ -207,6 +210,8 @@ def run_pipeline(
     if oracle_check:
         check_response_oracle(rm, plan)
     dynamic = dynamic_worst_cut(model.graph, plan, model)
+    if oracle_check:
+        check_attack_oracle(rebuilt_model(model.graph, plan, model), dynamic)
     return PipelineOutcome(name, inst, attack_res, plan, dynamic)
 
 
@@ -245,12 +250,15 @@ def sweep_budget(
     response budgets against the fixed worst-case attack."""
     model, attack_res = attack_stage(inst)
     if attack_res.status != STATUS_OPTIMAL:
-        raise InputError("budget sweep requires a solvable attack stage")
+        raise InfeasibleError("budget sweep requires a solvable attack stage")
     g = model.graph
     mc = mceic_matrix(g, attack_res.partition)
     rows = [SWEEP_CSV_HEADER]
-    # budgets that buy the same links rebuild the same network
+    # budgets that buy the same links rebuild the same network, and the
+    # empty plan leaves the attacked one, which stage one already solved
     dynamic: dict[frozenset[tuple[int, int]], AttackResult] = {}
+    if not inst.given_cut:
+        dynamic[frozenset()] = attack_res
     for b in grid:
         plan = solve_response(response_model(g, attack_res, b, mceic=mc))
         key = frozenset(plan.links)

@@ -54,7 +54,7 @@ class InstanceFile:
     def __post_init__(self):
         if self.attack_type not in ATTACK_TYPES:
             raise InputError(f"unknown attack type {self.attack_type!r}")
-        if self.attack_type in ("designated", "random") and not self.attack_nodes:
+        if self.given_cut and not self.attack_nodes:
             raise InputError(f"{self.attack_type} attack requires a node set")
         for v in self.attack_nodes:
             if not (1 <= v <= self.n):
@@ -66,6 +66,12 @@ class InstanceFile:
         if self.budget_response is not None and (
                 math.isnan(self.budget_response) or self.budget_response < 0):
             raise InputError("response budget must be nonnegative or math.inf")
+
+    @property
+    def given_cut(self) -> bool:
+        """True when the attack names its removal set (designated or
+        random), which stage one then scores instead of solving."""
+        return self.attack_type in ("designated", "random")
 
     def to_graph(self) -> Graph:
         return Graph(self.n, self.edges, self.attack_cost, self.link_cost,

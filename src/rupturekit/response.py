@@ -513,10 +513,20 @@ def classify_components(g: Graph, p: ComponentPartition) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def rebuilt_model(
+    g: Graph, plan: ReconstructionPlan, attack: AttackModel
+) -> AttackModel:
+    """The attack model on the reconstructed graph: g's edges plus the
+    plan's realized links, g's attack costs, and `attack`'s budget and
+    attackable set.  The graph carries no link costs, which the re-attack
+    never reads."""
+    rebuilt = Graph(g.n, g.edges + plan.links, g.attack_cost)
+    return AttackModel(rebuilt, attack.budget, attack.attackable)
+
+
 def dynamic_worst_cut(
     g: Graph, plan: ReconstructionPlan, attack: AttackModel
 ) -> AttackResult:
     """Re-solve the attack stage on the reconstructed graph (original graph
     plus the plan's realized links)."""
-    rebuilt = g.add_edges(plan.links)
-    return solve_attack(AttackModel(rebuilt, attack.budget, attack.attackable))
+    return solve_attack(rebuilt_model(g, plan, attack))

@@ -14,7 +14,7 @@ from rupturekit.attack import (
 )
 from rupturekit.bench import BenchConfig, gen_random
 from rupturekit.errors import InputError
-from rupturekit.graph import Graph, worst_cut_oracle
+from rupturekit.graph import Graph, components, worst_cut_oracle
 
 
 def path_graph(n):
@@ -161,29 +161,62 @@ class TestAgainstOracleRandom:
         assert res.cut.nodes == frozenset({2, 6, 7, 8, 9})
         assert res.score.rupture == -4
 
+    def test_intact_components_with_undecided_neighbours(self):
+        # intact components whose neighbours are attackable give the
+        # frontier term f + |C| + |N(C) & undecided| a value at the root
+        rng = random.Random(41)
+        for i in range(40):
+            n = rng.randint(8, 14)
+            config = BenchConfig(seed=rng.randrange(10**6), count=1,
+                                 n_min=n, n_max=n,
+                                 edge_count=rng.randint(n - 1, 2 * n))
+            g0 = gen_random(config)[0].to_graph()
+            # an intact node with its neighbourhood left attackable
+            centres = rng.sample(range(1, n + 1), rng.randint(1, 3))
+            intact = set(centres)
+            if i % 2:
+                intact |= set(g0.neighbors(centres[0])[:1])
+            attackable = frozenset(g0.nodes) - intact
+            assert any(set(g0.neighbors(v)) & attackable for v in intact)
+            costs = [rng.choice([0.0, 0.5, 1.0, 2.0]) for _ in range(n)]
+            g = Graph(n, g0.edges, attack_cost=costs)
+            assert_matches_oracle(g, float(rng.randint(0, n // 2)), attackable)
+
 
 class TestSearchCounter:
     def test_nodes_explored_pinned(self):
         # exact and deterministic; 33,334 nodes with the bound that counted
         # every undecided node as a possible new component, 7,870 while
         # simplicial nodes were still branched on, 3,597 before the
-        # pigeonhole term on the largest component.  A looser bound raises
-        # this count.
+        # pigeonhole term on the largest component, 3,485 before the
+        # frontier term on kept components.  A looser bound raises this
+        # count.
         inst = gen_random(BenchConfig(seed=7, count=1, n_min=20, n_max=20))[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 7, 11, 16, 17, 19})
-        assert res.stats.nodes_explored == 3485
+        assert res.stats.nodes_explored == 2739
 
     def test_dense_budget_four_pinned(self):
-        # 3n edges at budget 4, the attack benchmark's shape, where the
-        # pigeonhole term prunes most: 58,882 nodes without it
+        # 3n edges at budget 4, the attack benchmark's shape: 58,882 nodes
+        # without the pigeonhole term, 7,724 without the frontier term
         config = BenchConfig(seed=0, count=1, n_min=26, n_max=26,
                              edge_count=78, budget_attack=4.0)
         inst = gen_random(config)[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 19, 22, 26})
         assert res.score.rupture == -21
-        assert res.stats.nodes_explored == 7724
+        assert res.stats.nodes_explored == 2721
+
+    def test_reach_budget_four_pinned(self):
+        # an instance of the reach probe (gen_random defaults, n 30-44) at
+        # budget 4: 63,006 nodes without the frontier term
+        config = BenchConfig(seed=3, count=1, n_min=30, n_max=44)
+        inst = gen_random(config)[0]
+        assert inst.n == 33
+        res = solve_attack(AttackModel(inst.to_graph(), 4.0))
+        assert res.cut.nodes == frozenset({5, 7, 17, 28})
+        assert res.score.rupture == -24
+        assert res.stats.nodes_explored == 10004
 
 
 def clique_edges(k):
@@ -256,14 +289,24 @@ class TestSimplicialReduction:
 @st.composite
 def attack_models(draw):
     """Connected graphs on 1-8 nodes (paths, stars, cliques, random trees
-    plus extra edges, dense graphs with about 3n edges), attack costs from a
-    small palette, budgets from zero to n, and an optional restricted
-    attackable set."""
-    n = draw(st.integers(1, 8))
+    plus extra edges, dense graphs with about 3n edges) or on 1-10 nodes
+    (rebuilt: a tree plus links that join the components a cut leaves, the
+    shape of a re-attack), attack costs from a small palette with zero,
+    budgets from zero to n, and an optional restricted attackable set."""
     # trees drawn twice as often: they admit the most distinct cuts
     shape = draw(st.sampled_from(
-        ["path", "star", "clique", "tree", "tree", "dense"]))
-    if shape == "path":
+        ["path", "star", "clique", "tree", "tree", "dense", "rebuilt"]))
+    n = draw(st.integers(1, 10 if shape == "rebuilt" else 8))
+    if shape == "rebuilt":
+        edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+        cut = draw(st.frozensets(st.integers(1, n), max_size=n // 2))
+        parts = components(Graph(n, edges), cut).components
+        # a response plan's links: each joins two components at drawn ends
+        for a, b in combinations(parts, 2):
+            if draw(st.booleans()):
+                edges.append((draw(st.sampled_from(a)),
+                              draw(st.sampled_from(b))))
+    elif shape == "path":
         edges = [(v, v + 1) for v in range(1, n)]
     elif shape == "star":
         edges = [(1, v) for v in range(2, n + 1)]
@@ -279,7 +322,7 @@ def attack_models(draw):
         elif others:
             edges += draw(st.lists(st.sampled_from(others), max_size=n,
                                    unique=True))
-    costs = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    costs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
                           min_size=n, max_size=n))
     g = Graph(n, edges, attack_cost=costs)
     budget = draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, float(n // 2), float(n)]))

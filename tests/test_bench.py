@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -98,6 +99,26 @@ class TestRunPipeline:
         assert oc.plan is None
         assert "no budget-feasible attack" in oc.table_row()
 
+    @pytest.mark.parametrize("attack_type, nodes", [("targeted", ()),
+                                                     ("designated", (1,))])
+    def test_oracle_check_covers_the_reattack(self, monkeypatch, attack_type,
+                                              nodes):
+        inst = replace(star_instance(math.inf), attack_type=attack_type,
+                       attack_nodes=nodes)
+        checked = []
+        real = bench.worst_cut_oracle
+
+        def recording_oracle(g, budget, attackable):
+            checked.append(g.edges)
+            return real(g, budget, attackable)
+
+        monkeypatch.setattr(bench, "worst_cut_oracle", recording_oracle)
+        oc = run_pipeline(inst, "star", oracle_check=True)
+        rebuilt = tuple(sorted(inst.edges + oc.plan.links))
+        # stage one is checked only when it was solved; the re-attack always
+        stage_one = [inst.edges] if attack_type == "targeted" else []
+        assert checked == stage_one + [rebuilt]
+
 
 class TestSweep:
     def test_header_and_monotone(self):
@@ -112,25 +133,44 @@ class TestSweep:
         attacked = rupture_score(inst.to_graph(), [1])
         assert int(rows[1].split(",")[2]) == attacked.resilience
 
-    def test_budgets_buying_the_same_links_share_a_reattack(self, monkeypatch):
-        inst = gen_random(BenchConfig(seed=0, count=1, n_min=13, n_max=13))[0]
-        grid = [0.0, 1.0, 2.0, 3.0, 4.5, 6.0, 9.0, math.inf]
-        # each budget swept alone re-attacks without sharing
-        alone = [sweep_budget(inst, [b])[1] for b in grid]
+    @staticmethod
+    def attacked_edge_sets(monkeypatch):
+        """The edge set of every graph attacked from now on, in order."""
         attacked = []
 
         def counting_solve_attack(model):
-            attacked.append(frozenset(model.graph.edges))
+            attacked.append(model.graph.edges)
             return solve_attack(model)
 
         monkeypatch.setattr(bench, "solve_attack", counting_solve_attack)
         monkeypatch.setattr(response, "solve_attack", counting_solve_attack)
+        return attacked
+
+    def test_budgets_buying_the_same_links_share_a_reattack(self, monkeypatch):
+        inst = gen_random(BenchConfig(seed=0, count=1, n_min=13, n_max=13))[0]
+        grid = [0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 9.0, math.inf]
+        # each budget swept alone re-attacks without sharing
+        alone = [sweep_budget(inst, [b])[1] for b in grid]
+        attacked = self.attacked_edge_sets(monkeypatch)
         rows = sweep_budget(inst, grid)
         assert rows[1:] == alone
         # the first-stage attack, then one re-attack per distinct link set
         reattacked = attacked[1:]
         assert len(reattacked) == len(set(reattacked))
         assert len(reattacked) < len(grid)
+        # budgets 0 and 0.5 buy no link and reuse the first-stage attack
+        assert [r.split(",")[1] for r in rows[1:3]] == ["0", "0"]
+        assert attacked.count(inst.edges) == 1
+
+    def test_designated_reattacks_the_empty_plan(self, monkeypatch):
+        # a given cut is scored, not solved, so the unchanged network is
+        # attacked once, by the re-attack of the empty plan
+        inst = replace(star_instance(), attack_type="designated",
+                       attack_nodes=(2,))
+        attacked = self.attacked_edge_sets(monkeypatch)
+        rows = sweep_budget(inst, [0.0, 0.5])
+        assert [r.split(",")[1] for r in rows[1:]] == ["0", "0"]
+        assert attacked == [inst.edges]
 
     def test_mceic_matrix_built_once_per_sweep(self, monkeypatch):
         built = []

@@ -276,6 +276,25 @@ class TestPipelineCommand:
             assert tuple(row.split(",")[0] for row in rows) == names
 
 
+    def test_reattack_oracle_mismatch_exit_code(self, runner, nine_node_path,
+                                                monkeypatch, nine_node):
+        real = bench.worst_cut_oracle
+        attacked = nine_node.to_graph()
+
+        def links_ignored(g, budget, attackable):
+            # right on the attacked graph; on the rebuilt one, where no cut
+            # is affordable, it answers the attacked graph's cut {5}
+            return real(attacked, budget, attackable)
+
+        monkeypatch.setattr(bench, "worst_cut_oracle", links_ignored)
+        res = runner.invoke(main, ["pipeline", str(nine_node_path), "--csv"])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["pipeline", str(nine_node_path), "--csv",
+                                   "--oracle-check"])
+        assert res.exit_code == 5
+        assert "attack solver disagrees with the oracle" in res.output
+
+
 class TestSweepCommand:
     def test_paper_grid(self, runner, nine_node_path):
         res = runner.invoke(main, ["sweep", str(nine_node_path),
@@ -290,6 +309,18 @@ class TestSweepCommand:
         res = runner.invoke(main, ["sweep", str(nine_node_path),
                                    "--grid", "banana"])
         assert res.exit_code == 3
+
+    def test_infeasible_exit_code(self, runner, tmp_path):
+        # removing either end of a path leaves one component
+        path = tmp_path / "p4.txt"
+        path.write_text(
+            "FORMAT rupturekit-instance 1\nNODES 4\nEDGES 3\n"
+            "1 2\n2 3\n3 4\nBUDGETS\nattack 2.000000\n"
+            "ATTACK\ndistributed 1 4\nEND\n"
+        )
+        for command in (["attack"], ["pipeline"], ["sweep", "--grid", "0"]):
+            res = runner.invoke(main, [command[0], str(path), *command[1:]])
+            assert res.exit_code == 2, (command, res.output)
 
 
 class TestExportCommand:

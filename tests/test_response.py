@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rupturekit import response
-from rupturekit.attack import AttackModel
+from rupturekit.attack import AttackModel, solve_attack
+from rupturekit.bench import BenchConfig, gen_random
 from rupturekit.errors import InputError, SizeLimitError
 from rupturekit.graph import Graph, components, rupture_score
 from rupturekit.response import (
@@ -319,3 +320,27 @@ class TestDynamicWorstCut:
         dyn = dynamic_worst_cut(g, plan, model)
         base = rupture_score(g.add_edges(plan.links), dyn.cut)
         assert dyn.score.rupture == base.rupture
+
+    def test_same_as_attack_on_the_graph_with_links(self):
+        # the re-attack graph carries no link costs; the answer is that of
+        # the full graph with the plan's links added
+        for inst in gen_random(BenchConfig(seed=5, count=12, n_min=8,
+                                           n_max=13)):
+            g = inst.to_graph()
+            for attackable in (frozenset(), frozenset(range(2, inst.n, 2))):
+                model = AttackModel(g, inst.budget_attack, attackable)
+                first = solve_attack(model)
+                if first.status != "optimal":
+                    continue
+                part = first.partition
+                for budget in (0.0, 2.5, None):
+                    plan = solve_response(ResponseModel(
+                        part, mceic_matrix(g, part), budget,
+                        first.score.cut_size))
+                    dyn = dynamic_worst_cut(g, plan, model)
+                    ref = solve_attack(AttackModel(g.add_edges(plan.links),
+                                                   model.budget, attackable))
+                    assert dyn.status == ref.status
+                    assert dyn.cut == ref.cut
+                    assert dyn.score == ref.score
+                    assert dyn.partition == ref.partition
