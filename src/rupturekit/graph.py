@@ -99,9 +99,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edge_set
 
-    def adjacency_masks(self) -> list[int]:
-        return list(self._adj)
-
     def is_connected(self) -> bool:
         if self.n == 1:
             return True

@@ -16,7 +16,14 @@ from typing import Optional, Sequence
 from .attack import AttackResult
 from .errors import InputError, SizeLimitError
 from .graph import NODE_CLASSES, ComponentPartition, Graph, components
-from .response import ReconstructionPlan, flatten
+from .response import (
+    HAS_GENERATOR,
+    LOAD_ONLY,
+    ReconstructionPlan,
+    classify_components,
+    flatten,
+    mceic_matrix,
+)
 
 INSTANCE_FORMAT = "rupturekit-instance"
 INSTANCE_VERSION = 1
@@ -83,187 +90,160 @@ class InstanceFile:
         return frozenset(range(1, self.n + 1))
 
 
+# the three lines that open an instance, in order: each word of a usage is
+# one field, which must read as written or, for <count>, be a decimal count
+_OPENING = (f"FORMAT {INSTANCE_FORMAT} {INSTANCE_VERSION}", "NODES <count>",
+            "EDGES <count>")
+
+
 def parse_instance(text: str) -> InstanceFile:
-    """Strict parser with line-numbered error reporting."""
+    """Strict parser with line-numbered errors.
+
+    After the `FORMAT`, `NODES` and `EDGES` lines, a line that starts with
+    an upper-case letter is a section header, which must be one of the
+    exact names and appear once; every other line up to `END` (`#` starts
+    a comment) is a row of the section opened last, `EDGES` first.  Each
+    row is checked for its section's width, and each token goes through a
+    line-agnostic reader (`parse_node`, `parse_cost`, `parse_budget`) whose
+    error gets the row's line number here.
+    """
     lines = text.splitlines()
-    pos = 0
-
-    def next_line() -> tuple[int, str]:
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            raw = lines[pos - 1]
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                return pos, stripped
+    rows: list[tuple[int, list[str]]] = []
+    for ln, raw in enumerate(lines, 1):
+        fields = raw.split("#", 1)[0].split()
+        if fields == ["END"]:
+            break
+        if fields:
+            rows.append((ln, fields))
+    else:
         raise InstanceFormatError(len(lines), "unexpected end of file")
+    rows.append((ln, ["END"]))  # a missing opening line is reported at END
 
-    ln, header = next_line()
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "FORMAT" or parts[1] != INSTANCE_FORMAT:
-        raise InstanceFormatError(ln, f"expected 'FORMAT {INSTANCE_FORMAT} <version>'")
-    if parts[2] != str(INSTANCE_VERSION):
-        raise InstanceFormatError(ln, f"unsupported version {parts[2]}")
-
-    ln, nodes_line = next_line()
-    if not nodes_line.startswith("NODES "):
-        raise InstanceFormatError(ln, "expected NODES section")
-    try:
-        n = int(nodes_line.split()[1])
-    except (IndexError, ValueError):
-        raise InstanceFormatError(ln, "NODES needs an integer count")
+    for (ln, fields), usage in zip(rows, _OPENING):
+        words = usage.split()
+        if len(fields) != len(words) or not all(
+                f.isdecimal() if w == "<count>" else f == w
+                for w, f in zip(words, fields)):
+            raise InstanceFormatError(ln, f"expected '{usage}'")
+    (n_ln, (_, n)), (m_ln, (_, m)) = rows[1:3]
+    n, m = int(n), int(m)
     if n < 1:
-        raise InstanceFormatError(ln, "node count must be >= 1")
+        raise InstanceFormatError(n_ln, "node count must be >= 1")
 
-    def check_node(ln: int, v: int) -> int:
-        if not (1 <= v <= n):
-            raise InstanceFormatError(ln, f"node {v} out of range 1..{n}")
-        return v
+    edges: list[tuple[int, int]] = []
+    attack_cost: dict[int, float] = {}
+    link_cost: dict[tuple[int, int], float] = {}
+    node_class: dict[int, str] = {}
+    budget: dict[str, float] = {}
+    attack: list[tuple[str, tuple[int, ...]]] = []
 
-    ln, edges_line = next_line()
-    if not edges_line.startswith("EDGES "):
-        raise InstanceFormatError(ln, "expected EDGES section")
-    try:
-        m = int(edges_line.split()[1])
-    except (IndexError, ValueError):
-        raise InstanceFormatError(ln, "EDGES needs an integer count")
-    edges = []
-    for _ in range(m):
-        ln, line = next_line()
-        fields = line.split()
-        if len(fields) != 2:
-            raise InstanceFormatError(ln, "edge line needs two node indices")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise InstanceFormatError(ln, "edge endpoints must be integers")
-        check_node(ln, i), check_node(ln, j)
+    def edge(i, j):
+        i, j = parse_node(i, n), parse_node(j, n)
         if i == j:
-            raise InstanceFormatError(ln, f"self-loop at node {i}")
+            raise InputError(f"self-loop at node {i}")
         edges.append((min(i, j), max(i, j)))
 
-    attack_cost = [1.0] * n
-    link_cost: dict[tuple[int, int], float] = {}
-    node_class: Optional[list[str]] = None
-    budget_attack: Optional[float] = None
-    budget_response: Optional[float] = None
-    attack_type = "targeted"
-    attack_nodes: tuple[int, ...] = ()
+    def attack_cost_row(v, c):
+        attack_cost[parse_node(v, n)] = parse_cost(c, "attack cost")
 
-    ln, section = next_line()
-    while section != "END":
-        if section == "ATTACK_COSTS":
-            ln, section = _parse_attack_costs(next_line, check_node, attack_cost)
-        elif section == "LINK_COSTS":
-            ln, section = _parse_link_costs(next_line, check_node, link_cost)
-        elif section == "CLASSES":
-            node_class = ["load"] * n
-            ln, section = _parse_classes(next_line, check_node, node_class)
-        elif section == "BUDGETS":
-            while True:
-                ln, line = next_line()
-                fields = line.split()
-                if fields[0] == "attack" and len(fields) == 2:
-                    budget_attack = _parse_budget(ln, fields[1], allow_unlimited=False)
-                elif fields[0] == "response" and len(fields) == 2:
-                    budget_response = _parse_budget(ln, fields[1], allow_unlimited=True)
-                else:
-                    section = line
-                    break
-        elif section.startswith("ATTACK"):
-            ln, line = next_line()
-            fields = line.split()
-            if fields[0] not in ATTACK_TYPES:
-                raise InstanceFormatError(ln, f"unknown attack type {fields[0]!r}")
-            attack_type = fields[0]
-            try:
-                attack_nodes = tuple(check_node(ln, int(f)) for f in fields[1:])
-            except ValueError:
-                raise InstanceFormatError(ln, "attack node list must be integers")
-            if attack_type == "targeted" and attack_nodes:
-                raise InstanceFormatError(ln, "targeted attack takes no node list")
-            if attack_type != "targeted" and not attack_nodes:
-                raise InstanceFormatError(ln, f"{attack_type} attack needs a node list")
-            ln, section = next_line()
-        else:
-            raise InstanceFormatError(ln, f"unknown section {section!r}")
+    def link_cost_row(i, j, d):
+        i, j = parse_node(i, n), parse_node(j, n)
+        if i == j:
+            raise InputError("link cost pair must be distinct nodes")
+        d = parse_cost(d, "link cost")
+        key = (min(i, j), max(i, j))
+        if abs(link_cost.get(key, d) - d) > 1e-9:
+            raise InputError(f"asymmetric link cost for pair {key[0]}-{key[1]}")
+        link_cost[key] = d
 
+    def class_row(v, cls):
+        v = parse_node(v, n)
+        if cls not in NODE_CLASSES:
+            raise InputError(f"unknown node class {cls!r}")
+        node_class[v] = cls
+
+    def budget_row(key, token):
+        if key not in ("attack", "response"):
+            raise InputError(f"unknown budget {key!r}")
+        # only the response budget may be unlimited
+        read = parse_budget if key == "response" else parse_cost
+        budget[key] = read(token, f"{key} budget")
+
+    def attack_row(kind, *nodes):
+        if kind not in ATTACK_TYPES:
+            raise InputError(f"unknown attack type {kind!r}")
+        if kind == "targeted" and nodes:
+            raise InputError("targeted attack takes no node list")
+        if kind != "targeted" and not nodes:
+            raise InputError(f"{kind} attack needs a node list")
+        attack.append((kind, tuple(parse_node(v, n) for v in nodes)))
+
+    sections = {  # header -> (fields per row, None for any; row reader)
+        "EDGES": (2, edge), "ATTACK_COSTS": (2, attack_cost_row),
+        "LINK_COSTS": (3, link_cost_row), "CLASSES": (2, class_row),
+        "BUDGETS": (2, budget_row), "ATTACK": (None, attack_row),
+    }
+    seen = {"EDGES": m_ln}
+    width, read, name = 2, edge, "EDGES"
     try:
-        return InstanceFile(
-            n, tuple(sorted(set(edges))), tuple(attack_cost), link_cost,
-            tuple(node_class) if node_class else None,
-            budget_attack, budget_response, attack_type, attack_nodes,
-        )
+        for ln, fields in rows[3:-1]:
+            if fields[0][0].isupper():
+                name = " ".join(fields)
+                if name not in sections:
+                    raise InputError(f"unknown section {name!r}")
+                if name in seen:
+                    raise InputError(f"repeated section {name}")
+                seen[name] = ln
+                width, read = sections[name]
+            elif width is not None and len(fields) != width:
+                raise InputError(f"{name} row needs {width} fields, got {len(fields)}")
+            else:
+                read(*fields)
     except InputError as exc:
-        raise InstanceFormatError(0, str(exc))
+        raise InstanceFormatError(ln, str(exc)) from None
+    if len(edges) != m:
+        raise InstanceFormatError(m_ln, f"EDGES declares {m} edges, found {len(edges)}")
+    if "ATTACK" in seen and len(attack) != 1:
+        raise InstanceFormatError(seen["ATTACK"], "ATTACK takes one row")
+    attack_type, attack_nodes = attack[0] if attack else ("targeted", ())
+
+    return InstanceFile(
+        n, tuple(sorted(set(edges))),
+        tuple(attack_cost.get(v, 1.0) for v in range(1, n + 1)), link_cost,
+        tuple(node_class.get(v, "load") for v in range(1, n + 1))
+        if "CLASSES" in seen else None,
+        budget.get("attack"), budget.get("response"), attack_type, attack_nodes,
+    )
 
 
-def _finite(ln: int, token: str, what: str) -> float:
-    """`token` as a finite float; float() alone also takes nan and inf."""
+def parse_node(token: str, n: int) -> int:
+    """`token` as a node of 1..n."""
+    try:
+        v = int(token)
+    except ValueError:
+        raise InputError(f"bad node {token!r}") from None
+    if not 1 <= v <= n:
+        raise InputError(f"node {v} out of range 1..{n}")
+    return v
+
+
+def parse_cost(token: str, what: str) -> float:
+    """`token` as a finite nonnegative number; float() alone also takes
+    nan and inf."""
     try:
         value = float(token)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise InstanceFormatError(ln, f"bad {what} {token!r}")
-    return value
-
-
-def _parse_budget(ln: int, token: str, *, allow_unlimited: bool) -> float:
-    if token == "unlimited":
-        if not allow_unlimited:
-            raise InstanceFormatError(ln, "attack budget cannot be unlimited")
-        return math.inf
-    value = _finite(ln, token, "budget value")
+        raise InputError(f"bad {what} {token!r}")
     if value < 0:
-        raise InstanceFormatError(ln, "budgets must be nonnegative")
+        raise InputError(f"{what} must be nonnegative")
     return value
 
 
-def _parse_attack_costs(next_line, check_node, attack_cost):
-    while True:
-        ln, line = next_line()
-        fields = line.split()
-        if len(fields) != 2 or not fields[0].lstrip("-").isdigit():
-            return ln, line
-        v = check_node(ln, int(fields[0]))
-        c = _finite(ln, fields[1], "cost")
-        if c < 0:
-            raise InstanceFormatError(ln, "attack costs must be nonnegative")
-        attack_cost[v - 1] = c
-
-
-def _parse_link_costs(next_line, check_node, link_cost):
-    while True:
-        ln, line = next_line()
-        fields = line.split()
-        if len(fields) != 3 or not fields[0].lstrip("-").isdigit():
-            return ln, line
-        i = check_node(ln, int(fields[0]))
-        j = check_node(ln, int(fields[1]))
-        if i == j:
-            raise InstanceFormatError(ln, "link cost pair must be distinct nodes")
-        d = _finite(ln, fields[2], "cost")
-        if d < 0:
-            raise InstanceFormatError(ln, "link costs must be nonnegative")
-        key = (min(i, j), max(i, j))
-        if key in link_cost and abs(link_cost[key] - d) > 1e-9:
-            raise InstanceFormatError(
-                ln, f"asymmetric link cost for pair {key[0]}-{key[1]}"
-            )
-        link_cost[key] = d
-
-
-def _parse_classes(next_line, check_node, node_class):
-    while True:
-        ln, line = next_line()
-        fields = line.split()
-        if len(fields) != 2 or not fields[0].lstrip("-").isdigit():
-            return ln, line
-        v = check_node(ln, int(fields[0]))
-        if fields[1] not in NODE_CLASSES:
-            raise InstanceFormatError(ln, f"unknown node class {fields[1]!r}")
-        node_class[v - 1] = fields[1]
+def parse_budget(token: str, what: str = "budget") -> float:
+    """A cost, or math.inf for `unlimited`."""
+    return math.inf if token == "unlimited" else parse_cost(token, what)
 
 
 def emit_instance(inst: InstanceFile) -> str:
@@ -453,10 +433,11 @@ def export_mip(
     if cut is None:
         raise InputError(f"{which} export requires the realized cut set")
     cut = sorted(set(cut))
-    part = components(inst.to_graph(), cut)
+    g = inst.to_graph()
+    part = components(g, cut)
     if which == "response":
         return _export_response(inst, cut, part)
-    return _export_reduced(inst, cut, part, power)
+    return _export_reduced(inst, g, cut, part, power)
 
 
 def _export_attack(inst: InstanceFile) -> str:
@@ -605,17 +586,14 @@ def _export_response(inst: InstanceFile, cut: list[int],
     return w.render()
 
 
-def _export_reduced(inst: InstanceFile, cut: list[int],
+def _export_reduced(inst: InstanceFile, g: Graph, cut: list[int],
                     part: ComponentPartition, power: bool) -> str:
-    from .response import classify_components, mceic_matrix
-
-    g = inst.to_graph()
     s = part.count
     if s < 2:
         raise InputError("reduced export needs a disconnected attacked network")
     classes = classify_components(g, part) if power else ()
-    gens = [m for m, label in enumerate(classes, 1) if label == "has-generator"]
-    loads = [m for m, label in enumerate(classes, 1) if label == "load-only"]
+    gens = [m for m, label in enumerate(classes, 1) if label == HAS_GENERATOR]
+    loads = [m for m, label in enumerate(classes, 1) if label == LOAD_ONLY]
     _check_rows(export_row_count("reduced", inst.n, part, len(loads)))
     flat = flatten(s)
     mc = mceic_matrix(g, part)

@@ -117,7 +117,6 @@ class ReconstructionPlan:
     total_cost: float
     merged_partition: ComponentPartition
     rupture: int
-    dynamic_worst: Optional[AttackResult] = None
 
     @property
     def resilience(self) -> int:

@@ -1,12 +1,20 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from rupturekit import bench
+from rupturekit import bench, model_io
 from rupturekit.cli import main
-from rupturekit.model_io import InstanceFile, emit_instance, export_mip
+from rupturekit.errors import RupturekitError
+from rupturekit.model_io import (
+    InstanceFile,
+    InstanceFormatError,
+    emit_instance,
+    export_mip,
+)
 from rupturekit.response import SOLVER_MAX_COMPONENTS
 
 
@@ -482,3 +490,81 @@ class TestGenCommand:
 
         for f in files:
             parse_instance(f.read_text())
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+ERROR_KINDS = RupturekitError.__subclasses__()
+SUBCOMMANDS = ["gen", "attack", "respond", "pipeline", "sweep", "export-mip",
+               "cuts", "rupture"]
+
+
+class TestExitCodes:
+    """One handler on the click group maps every error to its exit code."""
+
+    def test_error_kinds_match_the_docs(self):
+        text = README.read_text()
+        paragraph = text[text.index("Exit codes:"):].split("\n\n", 1)[0]
+        documented = {name: int(code) for code, name in
+                      re.findall(r"`(\d)` [^`]*\(`(\w+Error)`\)", paragraph)}
+        assert documented == {kind.__name__: kind.exit_code
+                              for kind in ERROR_KINDS}
+        assert len({kind.exit_code for kind in ERROR_KINDS}) == len(ERROR_KINDS)
+        for kind in ERROR_KINDS:
+            assert f"(exit code {kind.exit_code})" in kind.__doc__
+
+    @pytest.mark.parametrize("kind", [*ERROR_KINDS, InstanceFormatError],
+                             ids=lambda kind: kind.__name__)
+    def test_error_kind_exit_code(self, runner, nine_node_path, monkeypatch,
+                                  kind):
+        def fail(text):
+            raise kind(7, "boom") if kind is InstanceFormatError else kind("boom")
+
+        monkeypatch.setattr(model_io, "parse_instance", fail)
+        res = runner.invoke(main, ["attack", str(nine_node_path)])
+        assert res.exit_code == kind.exit_code, res.output
+        assert "error: " in res.output and "boom" in res.output
+
+    def test_unexpected_exception_is_a_bug(self, runner, nine_node_path,
+                                           monkeypatch):
+        def fail(text):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(model_io, "parse_instance", fail)
+        res = runner.invoke(main, ["attack", str(nine_node_path)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, KeyError)
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe not text"],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_file(self, runner, tmp_path, content):
+        path = tmp_path / "instance.txt"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        res = runner.invoke(main, ["attack", str(path)])
+        assert res.exit_code == 3, res.output
+        assert "error: " in res.output
+
+    @pytest.mark.parametrize("args", [
+        ["respond", "{path}"],
+        ["rupture", "{path}"],
+        ["export-mip", "{path}", "--formulation", "bogus"],
+        ["gen", "--count", "x"],
+        ["attack", "{path}", "--bogus"],
+        ["--bogus"],
+        ["nosuch"],
+    ], ids=["missing-cut-x", "rupture-missing-cut-x", "formulation-choice",
+            "count-not-integer", "unknown-option", "unknown-group-option",
+            "unknown-command"])
+    def test_usage_error_exit_code(self, runner, nine_node_path, args):
+        res = runner.invoke(main, [a.format(path=nine_node_path) for a in args])
+        assert res.exit_code == 3, res.output
+        assert "Usage: " in res.output  # click's usage text is kept
+
+    @pytest.mark.parametrize("command", [[], *([c] for c in SUBCOMMANDS)],
+                             ids=["main", *SUBCOMMANDS])
+    def test_help_exits_zero(self, runner, command):
+        res = runner.invoke(main, [*command, "--help"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("Usage: ")

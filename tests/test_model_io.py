@@ -105,6 +105,32 @@ class TestParse:
         assert exc.value.line == text.splitlines().index(bad_line) + 1
 
 
+    # headers are exact, and every row is checked for its section's width
+    @pytest.mark.parametrize("old,new,line,message", [
+        ("ATTACK\n", "ATTACK_TYPE\n", 8, "unknown section 'ATTACK_TYPE'"),
+        ("NODES 2\n", "NODES 2 extra\n", 2, "expected 'NODES <count>'"),
+        ("EDGES 1\n", "EDGES\n", 3, "expected 'EDGES <count>'"),
+        ("2 1.000000\n", "2 1.000000 3\n", 7, "ATTACK_COSTS row needs 2 fields, got 3"),
+        ("2 1.000000\n", "x 1.000000\n", 7, "bad node 'x'"),
+        ("ATTACK\n", "LINK_COSTS\n1 2\nATTACK\n", 9, "LINK_COSTS row needs 3 fields, got 2"),
+        ("ATTACK\n", "BUDGETS\nattack\nATTACK\n", 9, "BUDGETS row needs 2 fields, got 1"),
+        ("ATTACK\n", "BUDGETS\ndefence 1\nATTACK\n", 9, "unknown budget 'defence'"),
+        ("ATTACK\n", "ATTACK_COSTS\nATTACK\n", 8, "repeated section ATTACK_COSTS"),
+        ("1 2\nATTACK_COSTS", "1 2\n1 2\nATTACK_COSTS", 3, "EDGES declares 1 edges, found 2"),
+        ("targeted\n", "targeted\ntargeted\n", 8, "ATTACK takes one row"),
+        ("targeted\n", "", 8, "ATTACK takes one row"),
+        ("END\n", "", 9, "unexpected end of file"),
+    ], ids=["attack-type-header", "nodes-extra-value", "edges-no-count",
+            "attack-costs-width", "bad-node", "link-costs-width", "budgets-width",
+            "unknown-budget", "repeated-section", "edge-count", "two-attack-rows",
+            "no-attack-row", "no-end"])
+    def test_malformed_line_rejected(self, old, new, line, message):
+        text = MINIMAL.replace(old, new, 1)
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
 class TestInstanceFile:
     @pytest.mark.parametrize("field,bad", [
         ("budget_attack", math.nan), ("budget_attack", math.inf),
