@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import and_, or_
 from typing import Iterable, Optional
 
 from .errors import InputError
@@ -112,6 +114,46 @@ def _is_simplicial(adj: list[int], v: int) -> bool:
     return True
 
 
+def _neighbour_rows(adjs: list[int], k_max: int) -> list[list[int]]:
+    """rows[k][idx] is the mask of nodes with at least k neighbours among
+    the nodes whose adjacency masks are adjs[idx:], for 1 <= k <= k_max;
+    the rows stop early at the first k that no node reaches.
+
+    A node has k such neighbours when, for some j >= idx, it is adjacent to
+    the node of adjs[j] and has k - 1 among adjs[j + 1:], so
+    rows[k][idx] = rows[k][idx + 1] | (rows[k - 1][idx + 1] & adjs[idx]),
+    with rows[0] holding every node: one AND per node and threshold, and
+    an OR-accumulation.  Each row is built from the end and then
+    reversed."""
+    rev_adjs = adjs[::-1]
+    row = [-1] * (len(adjs) + 1)
+    rows = [row]
+    for _ in range(k_max):
+        row = list(accumulate(map(and_, row, rev_adjs), or_, initial=0))
+        if not row[-1]:
+            break
+        rows.append(row)
+    for row in rows:
+        row.reverse()
+    return rows
+
+
+def _max_removals(costs: list[float], limit: float) -> Optional[int]:
+    """An upper bound on how many of the nodes costing `costs` fit in
+    `limit` when summed as floats, or None when the least cost is 0.
+
+    Each of r removals costs at least c = min(costs), so r * c <= limit in
+    exact arithmetic; the float sum of r nonnegative terms is at least
+    (1 - 2^-53)^(r-1) times the exact one, and the quotient is rounded
+    too.  The factor 1 + 1e-9 covers both for any r below about 10^6, so
+    the count is never too small."""
+    c_min = min(costs, default=0.0)
+    if c_min <= 0.0:
+        return None
+    q = limit / c_min
+    return len(costs) if q >= len(costs) else math.floor(q * (1 + 1e-9))
+
+
 def solve_attack(model: AttackModel) -> AttackResult:
     r"""Global maximizer of r = -|X| - m + w over budget-feasible cut sets.
 
@@ -126,14 +168,25 @@ def solve_attack(model: AttackModel) -> AttackResult:
     size m(K) and its neighbour mask N(K).  Keeping a node merges it with
     the components it touches; removing one leaves the state as it is, so
     no node recomputes components, and at a leaf K is the surviving graph.
-    The bound counts only the undecided nodes outside N(K) as possible new
-    components: an undecided survivor next to K joins a kept component.
-    So at most W = comp(K) + u components survive, u being the number of
-    those nodes, and by pigeonhole the largest holds at least
-    ceil((n - f) / W) of the n - f nodes not yet removed; removing t more
-    nodes lowers that floor by at most t, so the bound takes t = 0 and
-    never reads the budget.  This term is computed only at nodes that
-    survive the cheaper m(K) bound and only when it is the larger one.
+    The bound counts only the nodes of U, the undecided nodes outside
+    N(K), as possible new components: an undecided survivor next to K
+    joins a kept component.  The budget tightens that count.  With f
+    removals made, at most t = t0 - f more are affordable, where t0 is the
+    most removals the budget buys at the least cost over the branching
+    order.  A surviving component without a node of K lies in U, and each
+    undecided neighbour of it is removed; so a node of U with more than t
+    undecided neighbours survives only in such a component of two nodes
+    or more.  With H those nodes of U, at most
+    W = comp(K) + |U \ H| + floor(|H| / 2) components survive.  H is read
+    from rows built once before the search (the nodes with at least k
+    neighbours among order[idx:], for each k up to t0 + 1), so the term
+    costs at most one AND and one popcount per node.  When the least cost
+    is zero, t0 is unbounded and the term is left out.  By pigeonhole the
+    largest component holds at least ceil((n - f) / W) of the n - f nodes
+    not yet removed; removing more nodes lowers that floor by at most as
+    many, so this term assumes no further removal.  It is computed only at
+    nodes that survive the cheaper m(K) bound and only when it is the
+    larger one.
     The remove branch recurses and the keep branch loops, so the recursion
     depth is the number of removals plus one.
 
@@ -171,14 +224,33 @@ def solve_attack(model: AttackModel) -> AttackResult:
     adj = g._adj
     fixed = frozenset(v for v in model.attackable if _is_simplicial(adj, v))
     order = sorted(model.attackable - fixed, key=lambda v: (-g.degree(v), v))
-    budget = model.budget
     cost = g.attack_cost
+    limit = model.budget + BUDGET_TOL
     n = g.n
-    # undecided[idx] is the mask of order[idx:]
+    # per branch index: the node's bit, attack cost and neighbour mask
     n_order = len(order)
+    bits = [1 << (v - 1) for v in order]
+    costs = [cost[v - 1] for v in order]
+    adjs = [adj[v] for v in order]
+    # undecided[idx] is the mask of order[idx:]
     undecided = [0] * (n_order + 1)
     for idx in range(n_order - 1, -1, -1):
-        undecided[idx] = undecided[idx + 1] | 1 << (order[idx] - 1)
+        undecided[idx] = undecided[idx + 1] | bits[idx]
+    # many_nbrs[f][idx]: the nodes with more than t = t0 - f neighbours
+    # among order[idx:], which no completion leaves as a singleton
+    # component.  A row only shrinks as idx grows, so it is nonzero on a
+    # prefix, idx < many_end[f]; many_end[f] is 0 where no node has that
+    # many neighbours.
+    t0 = _max_removals(costs, limit)
+    many_nbrs: list[list[int]] = [[]] * (n_order + 1)
+    many_end = [0] * (n_order + 1)
+    if t0 is not None:
+        rows = _neighbour_rows(adjs, t0 + 1)
+        for f in range(t0 + 1):
+            if t0 + 1 - f < len(rows):
+                row = rows[t0 + 1 - f]
+                many_nbrs[f] = row
+                many_end[f] = n_order + 1 - row.count(0)
 
     # best = (rupture, |X|, sorted node tuple)
     best: list[Optional[tuple[int, int, tuple[int, ...]]]] = [None]
@@ -198,59 +270,68 @@ def solve_attack(model: AttackModel) -> AttackResult:
             comps: list[tuple[int, int]], m_k: int, nbr_k: int,
             g_lo: int) -> None:
         # One call per removal: the remove branch recurses and the keep
-        # branch rebinds the state and loops, so f is fixed per call.  A
-        # comps list is never mutated, since the remove branch shares it.
+        # branch rebinds the state and loops, so f is fixed per call and
+        # the call explores the search nodes first_idx..idx.  A comps list
+        # is never mutated, since the remove branch shares it.
+        first_idx = idx
         f = removed_mask.bit_count()
         alive = n - f
+        many = many_nbrs[f]
+        many_to = many_end[f]
         while True:
-            stats.nodes_explored += 1
             b = best[0]
             if b is not None:
                 # Admissible bound.  With f nodes removed so far, kept set K
-                # and u undecided nodes outside N(K), any completion removes
-                # t >= 0 more nodes, so |X| = f + t.  Components of the
-                # subgraph induced on K stay connected in any completion,
-                # hence m >= max(1, m(K)), and m + |X| >= g_lo (the frontier
-                # term, see the docstring).  A surviving component without a
-                # node of K holds no node of N(K), since such a node is
-                # joined to K, so it holds one of the u - t' surviving
-                # undecided nodes outside N(K), where t' <= t of those u are
-                # removed; at most comp(K) components hold a node of K.
-                # Hence omega <= W = comp(K) + u, and the n - f - t
-                # survivors fill at most W components, so by pigeonhole
-                # m >= ceil((n-f-t) / W).  Then
-                #   r <= W - max(f + t + max(1, m(K)), g_lo,
-                #                f + t + ceil((n-f-t) / W))
+                # and U the undecided nodes outside N(K), any completion
+                # removes t' more nodes, t' <= t = t0 - f by the budget, so
+                # |X| = f + t'.  Components of the subgraph induced on K
+                # stay connected in any completion, hence
+                # m >= max(1, m(K)), and m + |X| >= g_lo (the frontier term,
+                # see the docstring).  A surviving component without a node
+                # of K holds no node of N(K), since such a node is joined to
+                # K, so it lies in U; and all its undecided neighbours are
+                # removed, so it is a single node only if that node has at
+                # most t' <= t undecided neighbours, that is lies outside
+                # many[idx].  At most comp(K) components hold a node of K.
+                # Hence omega <= W = comp(K) + |U \ H| + floor(|H| / 2) with
+                # H = U & many[idx], and the n - f - t' survivors fill at
+                # most W components, so by pigeonhole
+                # m >= ceil((n-f-t') / W).  Then
+                #   r <= W - max(f + t' + max(1, m(K)), g_lo,
+                #                f + t' + ceil((n-f-t') / W))
                 #     <= W - max(f + max(1, m(K)), g_lo, f + ceil((n-f) / W)),
-                # since ceil((n-f) / W) <= ceil((n-f-t) / W) + t: t = 0 is
-                # the worst case and the budget never enters.
-                w = len(comps) + (undecided[idx] & ~nbr_k).bit_count()
+                # since ceil((n-f) / W) <= ceil((n-f-t') / W) + t'.
+                u = undecided[idx] & ~nbr_k
+                w = len(comps) + u.bit_count()
+                if idx < many_to:
+                    # |U \ H| + floor(|H| / 2) == |U| - ceil(|H| / 2)
+                    w -= ((u & many[idx]).bit_count() + 1) >> 1
                 m_lo = m_k if m_k > 1 else 1
                 lo = f + m_lo
                 bound = w - (lo if lo > g_lo else g_lo)
                 # equal-bound subtrees with f > |best X| cannot improve the
                 # cardinality-then-lex tie-break
                 if bound < b[0] or (bound == b[0] and f > b[1]):
-                    return
+                    break
                 if alive > m_lo * w:
                     if not w:
-                        return  # no completion leaves a survivor
+                        break  # no completion leaves a survivor
                     # -ceil(alive / w) == -alive // w
                     bound = w - f + -alive // w
                     if bound < b[0] or (bound == b[0] and f > b[1]):
-                        return
+                        break
             if idx == n_order:
                 leaf(removed_mask, comps, m_k)
-                return
-            v = order[idx]
-            bit = 1 << (v - 1)
-            # branch: remove v
-            new_spent = spent + cost[v - 1]
-            if new_spent <= budget + BUDGET_TOL:
+                break
+            bit = bits[idx]
+            # branch: remove order[idx]
+            new_spent = spent + costs[idx]
+            if new_spent <= limit:
                 dfs(idx + 1, removed_mask | bit, new_spent, comps, m_k, nbr_k,
                     g_lo)
-            # branch: keep v, merged with every kept component it touches
-            adj_v = adj[v]
+            # branch: keep order[idx], merged with every kept component it
+            # touches
+            adj_v = adjs[idx]
             merged = bit
             merged_nbr = adj_v
             kept = []
@@ -270,6 +351,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
             frontier = f + size + (merged_nbr & undecided[idx]).bit_count()
             if frontier > g_lo:
                 g_lo = frontier
+        stats.nodes_explored += idx - first_idx + 1
 
     always_kept = model.intact | fixed
     comps = []
@@ -285,13 +367,15 @@ def solve_attack(model: AttackModel) -> AttackResult:
         m_k = max(m_k, c.bit_count())
         g_lo = max(g_lo, c.bit_count() + (c_nbr & undecided[0]).bit_count())
     dfs(0, 0, 0.0, comps, m_k, nbr, g_lo)
+    # dfs holds itself through its closure; unbinding it frees the search
+    # state now instead of at a later cyclic garbage collection
+    del dfs
     if fixed:
         # the single-survivor cuts V \ {u}, the only optima that may hold a
         # simplicial node, scored apart from the search.  Costs are added
         # left to right, as the oracle sums a cut; they are nonnegative, so
         # the scan stops once the partial sum exceeds the budget.
         intact = model.intact
-        limit = budget + BUDGET_TOL
         for u in g.nodes:
             if not intact <= {u}:
                 continue

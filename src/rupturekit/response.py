@@ -296,7 +296,9 @@ def _plan_from_selection(
 
 def _solve_largest_group(m: ResponseModel, flat: FlatIndex) -> list[tuple[int, int]]:
     """Default-path search over the group S of components that becomes the
-    largest merged component, in O(2^s * s^2).
+    largest merged component, in O(2^s * s^2), or in O(s^2 log s) when the
+    Kruskal tree over all s components fits the budget: that full merge
+    then is the plan.
 
     For each S, Kruskal over the MCEIC pairs inside S in (cost, sigma) order
     gives S's tree; S is skipped if the tree is over budget.  The same
@@ -334,6 +336,26 @@ def _solve_largest_group(m: ResponseModel, flat: FlatIndex) -> list[tuple[int, i
             for a, b in combinations(range(1, s + 1), 2)
         )
     ]
+    # S = all components first.  Its floor r = -|X| - n_r + 1 lies below
+    # every other group's, so if its Kruskal tree fits the budget it is
+    # the plan, and the 2^s table is never built.
+    parent = list(range(s + 1))
+    total = 0.0
+    chosen: list[int] = []
+    for c, z, a, b, _ in ranked:
+        if len(chosen) == s - 1 or total + c > limit:
+            break
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            total += c
+            chosen.append(z)
+    if len(chosen) == s - 1:
+        return [flat.unsigma(z) for z in sorted(chosen)]
+
     sizes = m.partition.sizes
     full = (1 << s) - 1
     group_size = [0] * (full + 1)
@@ -342,15 +364,16 @@ def _solve_largest_group(m: ResponseModel, flat: FlatIndex) -> list[tuple[int, i
         group_size[group] = group_size[group ^ low] + sizes[low.bit_length() - 1]
 
     best: Optional[tuple[int, float, tuple[int, ...]]] = None
-    # larger groups first: they set a low incumbent that prunes the rest
-    for group in range(full, 0, -1):
+    # larger groups first: they set a low incumbent that prunes the rest;
+    # the full group's tree is over budget
+    for group in range(full - 1, 0, -1):
         # merging all of S and all of R is the most any evaluation can do
-        floor = -m.cut_size - group_size[group] + (1 if group == full else 2)
+        floor = -m.cut_size - group_size[group] + 2
         if best is not None and floor > best[0]:
             continue
         parent = list(range(s + 1))   # union-find over components
         total = 0.0
-        chosen: list[int] = []
+        chosen = []
         for inside in (group, full ^ group):
             need = inside.bit_count() - 1
             for c, z, a, b, mask in ranked:

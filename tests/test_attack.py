@@ -7,14 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rupturekit.attack import (
+    BUDGET_TOL,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     AttackModel,
+    _max_removals,
+    _neighbour_rows,
     solve_attack,
 )
 from rupturekit.bench import BenchConfig, gen_random
 from rupturekit.errors import InputError
-from rupturekit.graph import Graph, components, worst_cut_oracle
+from rupturekit.graph import (
+    Graph,
+    _mask_to_nodes,
+    components,
+    worst_cut_oracle,
+)
 
 
 def path_graph(n):
@@ -183,40 +191,164 @@ class TestAgainstOracleRandom:
             assert_matches_oracle(g, float(rng.randint(0, n // 2)), attackable)
 
 
+class TestBudgetAwareBound:
+    """The bound's count of new components reads t, the removals still
+    affordable: a node of U with more than t undecided neighbours cannot
+    survive alone.  These cases keep t at 0, 1 or 2."""
+
+    # (attack cost palette, budget): the budget buys at most 1-3 removals
+    CASES = {
+        "unit-1": ((1.0,), 1.0),
+        "unit-2": ((1.0,), 2.0),
+        "unit-3": ((1.0,), 3.0),
+        # 0.1 + 0.1 + 0.1 == 0.30000000000000004 is still admitted
+        "fractional": ((0.1, 0.3), 0.3),
+        "fractional-mixed": ((0.1, 0.2, 0.3), 0.4),
+        # a zero least cost leaves t unbounded: no tightening
+        "zeros": ((0.0, 1.0), 2.0),
+        "large": ((1e6, 2e6), 2e6),
+        "large-thirds": ((1e6 / 3, 1e6), 1e6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_oracle(self, name):
+        palette, budget = self.CASES[name]
+        rng = random.Random(name)
+        for i in range(40):
+            n = rng.randint(8, 14)
+            edges = rng.choice([n - 1, 2 * n, 3 * n])
+            config = BenchConfig(seed=rng.randrange(10**6), count=1,
+                                 n_min=n, n_max=n, edge_count=edges)
+            inst = gen_random(config)[0]
+            costs = [rng.choice(palette) for _ in range(n)]
+            attackable = frozenset()
+            if i % 2:
+                attackable = frozenset(rng.sample(range(1, n + 1), 2 * n // 3))
+            g = Graph(n, inst.edges, attack_cost=costs)
+            assert_matches_oracle(g, budget, attackable)
+
+    def test_float_sum_admitted(self):
+        # P7's best cut {2, 4, 6} costs 0.1 + 0.1 + 0.1 > 0.3 in floats
+        g = Graph(7, path_graph(7).edges, attack_cost=(0.3, 0.1, 0.3, 0.1,
+                                                       0.3, 0.1, 0.3))
+        assert 0.1 + 0.1 + 0.1 > 0.3
+        assert _max_removals([0.1] * 4 + [0.3], 0.3 + BUDGET_TOL) == 3
+        res = solve_attack(AttackModel(g, 0.3))
+        assert res.cut.nodes == frozenset({2, 4, 6})
+        assert res.cut.nodes == worst_cut_oracle(g, 0.3)[0].nodes
+
+    def test_float_sum_of_large_costs_admitted(self):
+        # three removals at c sum to s with s / c just below 3 in floats
+        c = 6278213.95896521
+        budget = c + c + c
+        assert (budget + BUDGET_TOL) / c < 3
+        assert _max_removals([c] * 4, budget + BUDGET_TOL) == 3
+        g = Graph(7, path_graph(7).edges,
+                  attack_cost=(2 * c, c, 2 * c, c, 2 * c, c, 2 * c))
+        res = solve_attack(AttackModel(g, budget))
+        assert res.cut.nodes == frozenset({2, 4, 6})
+        assert res.cut.nodes == worst_cut_oracle(g, budget)[0].nodes
+
+    @pytest.mark.parametrize("n,edges,budget,cut", [
+        # the optimum leaves {3}, {5}, {6} and {7} alone, each with all its
+        # undecided neighbours among the last removals
+        (9, [(1, 9), (2, 3), (2, 4), (2, 6), (2, 7), (3, 4), (4, 5), (4, 6),
+             (4, 9), (7, 8), (8, 9)], 3.0, {2, 4, 8}),
+        (11, [(1, 2), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 3), (2, 4),
+              (2, 10), (3, 5), (3, 7), (3, 9), (4, 8), (4, 9), (5, 9), (6, 7),
+              (6, 8), (7, 8), (7, 9), (8, 11), (9, 10), (9, 11)], 2.0, {2, 9}),
+    ])
+    def test_node_with_t_neighbours_may_survive_alone(self, n, edges, budget,
+                                                      cut):
+        g = Graph(n, edges)
+        assert worst_cut_oracle(g, budget)[0].nodes == cut
+        assert_matches_oracle(g, budget)
+
+    def test_zero_least_cost_has_no_count(self):
+        assert _max_removals([0.0, 1.0], 5.0) is None
+        assert _max_removals([], 5.0) is None
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 1e6, 1e6 / 3,
+                                     3.5e6, 1e-10]),
+                    min_size=1, max_size=9),
+           st.data())
+    def test_max_removals_never_undercounts(self, costs, data):
+        # the budget is a float sum of some of the costs, so it is met
+        # exactly; every subset the search would admit, summed in branch
+        # order, has at most _max_removals members
+        picked = data.draw(st.lists(st.integers(0, len(costs) - 1),
+                                    unique=True))
+        budget = 0.0
+        for i in picked:
+            budget += costs[i]
+        limit = budget + BUDGET_TOL
+        t0 = _max_removals(costs, limit)
+        for r in range(t0 + 1, len(costs) + 1):
+            for combo in combinations(costs, r):
+                spent = 0.0
+                for c in combo:
+                    spent += c
+                assert spent > limit
+
+    def test_neighbour_rows_count_neighbours(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            edges = [p for p in combinations(range(1, n + 1), 2)
+                     if rng.random() < 0.4]
+            g = Graph(n, edges)
+            order = rng.sample(range(1, n + 1), rng.randint(0, n))
+            k_max = rng.randint(0, 5)
+            rows = _neighbour_rows([g._adj[v] for v in order], k_max)
+            for idx in range(len(order) + 1):
+                suffix = set(order[idx:])
+                for k in range(1, k_max + 1):
+                    want = [v for v in g.nodes
+                            if len(suffix.intersection(g.neighbors(v))) >= k]
+                    # rows stop at the first k that no node reaches
+                    got = rows[k][idx] if k < len(rows) else 0
+                    assert _mask_to_nodes(got) == want
+                    if idx == 0:
+                        assert (k < len(rows)) == bool(want)
+
+
 class TestSearchCounter:
     def test_nodes_explored_pinned(self):
         # exact and deterministic; 33,334 nodes with the bound that counted
         # every undecided node as a possible new component, 7,870 while
         # simplicial nodes were still branched on, 3,597 before the
         # pigeonhole term on the largest component, 3,485 before the
-        # frontier term on kept components.  A looser bound raises this
-        # count.
+        # frontier term on kept components, 2,739 before the budget-aware
+        # count of new components.  A looser bound raises this count.
         inst = gen_random(BenchConfig(seed=7, count=1, n_min=20, n_max=20))[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 7, 11, 16, 17, 19})
-        assert res.stats.nodes_explored == 2739
+        assert res.stats.nodes_explored == 2738
 
     def test_dense_budget_four_pinned(self):
         # 3n edges at budget 4, the attack benchmark's shape: 58,882 nodes
-        # without the pigeonhole term, 7,724 without the frontier term
+        # without the pigeonhole term, 7,724 without the frontier term,
+        # 2,721 without the budget-aware count of new components
         config = BenchConfig(seed=0, count=1, n_min=26, n_max=26,
                              edge_count=78, budget_attack=4.0)
         inst = gen_random(config)[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 19, 22, 26})
         assert res.score.rupture == -21
-        assert res.stats.nodes_explored == 2721
+        assert res.stats.nodes_explored == 1925
 
     def test_reach_budget_four_pinned(self):
         # an instance of the reach probe (gen_random defaults, n 30-44) at
-        # budget 4: 63,006 nodes without the frontier term
+        # budget 4: 63,006 nodes without the frontier term, 10,004 without
+        # the budget-aware count of new components
         config = BenchConfig(seed=3, count=1, n_min=30, n_max=44)
         inst = gen_random(config)[0]
         assert inst.n == 33
         res = solve_attack(AttackModel(inst.to_graph(), 4.0))
         assert res.cut.nodes == frozenset({5, 7, 17, 28})
         assert res.score.rupture == -24
-        assert res.stats.nodes_explored == 10004
+        assert res.stats.nodes_explored == 8612
 
 
 def clique_edges(k):

@@ -1,8 +1,10 @@
 import math
+import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rupturekit import response
@@ -249,22 +251,54 @@ def response_models(draw, power=False):
                          classes, power)
 
 
+def same_plan(m):
+    a = solve_response(m)
+    b = brute_force_response(m)
+    assert (a.selected, a.links, a.total_cost, a.rupture) == (
+        b.selected, b.links, b.total_cost, b.rupture)
+    return a
+
+
 class TestSolverMatchesOracle:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(response_models())
     def test_same_plan_as_brute_force(self, m):
-        a = solve_response(m)
-        b = brute_force_response(m)
-        assert (a.selected, a.links, a.total_cost, a.rupture) == (
-            b.selected, b.links, b.total_cost, b.rupture)
+        same_plan(m)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(response_models(power=True))
     def test_power_plan_as_brute_force(self, m):
-        a = solve_response(m)
-        b = brute_force_response(m)
-        assert (a.selected, a.links, a.total_cost, a.rupture) == (
-            b.selected, b.links, b.total_cost, b.rupture)
+        same_plan(m)
+
+
+class TestFullMerge:
+    # the Kruskal tree over all components is returned when it fits the
+    # budget; within the budget tolerance it still fits, past it it does not
+    OFFSETS = (0.0, 5e-10, -2e-9, -0.5)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(response_models(), st.sampled_from(OFFSETS))
+    def test_budget_at_and_below_tree_cost(self, m, offset):
+        budget = solve_response(replace(m, budget=None)).total_cost + offset
+        assume(budget >= 0)
+        plan = same_plan(replace(m, budget=budget))
+        if offset >= 0:
+            assert plan.merged_partition.count == 1
+
+    @pytest.mark.parametrize("palette", [(0.0, 1.0), (1.0, 2.0),
+                                         (0.0, 0.5, 1.5), (1.0, 1.1, 1.2)])
+    def test_seven_components(self, palette):
+        # seven singletons, 21 links: the oracle's largest size
+        rng = random.Random(len(palette))
+        g = Graph(7, [], link_cost={p: rng.choice(palette)
+                                    for p in combinations(range(1, 8), 2)})
+        part = components(g, [])
+        m = ResponseModel(part, mceic_matrix(g, part), None, 0)
+        tree = solve_response(m).total_cost
+        for offset in self.OFFSETS[:3]:
+            if tree + offset >= 0:
+                plan = same_plan(replace(m, budget=tree + offset))
+                assert (plan.merged_partition.count == 1) == (offset >= 0)
 
 
 class TestPowerConstraint:
