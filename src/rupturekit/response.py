@@ -2,26 +2,30 @@
 that maximize post-attack resilience.
 
 Only the cheapest link between each component pair (the MCEIC link) can
-matter, so the search runs over the flattened MCEIC links.  The solver
+matter, so the search runs over the MCEIC pairs ``(m, n)``, ``m < n``.
+Every plan is a forest over the components, and ties break by the lowest
+total cost, then by the smallest sorted pair tuple.  The solver
 enumerates the group ``S`` of components that becomes the largest merged
 component (2^s subsets): ``S`` is joined by its Kruskal tree and the rest of
 the budget buys a Kruskal prefix over the other components.  That is exact,
 down to the tie-break, by the greedy property of the spanning-forest matroid
 (Kruskal 1956; Edmonds 1971); see :func:`_solve_largest_group`.  Under the
-power rule a cheapest connecting selection may contain a redundant backing
-link, so that path still enumerates set partitions of the components.  The
-independent oracle in :func:`brute_force_response` enumerates raw link
-subsets instead.
+power rule a forest is still enough (see :func:`_solve_power_partitions`),
+but the feasible forests are no longer a matroid: a lone load-load link is
+infeasible, yet feasible once its backing link is added.  So that path
+enumerates set partitions of the components and each group's spanning
+trees.  The independent oracle in :func:`brute_force_response` enumerates
+raw link subsets instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .attack import AttackModel, AttackResult, solve_attack
+from .attack import BUDGET_TOL, AttackModel, AttackResult, solve_attack
 from .errors import InputError, SizeLimitError
 from .graph import ComponentPartition, Graph, rupture_score
 
@@ -205,10 +209,6 @@ def _set_partitions(s: int):
     yield from rec(1)
 
 
-def _group_links(group: Sequence[int]) -> list[tuple[int, int]]:
-    return list(combinations(sorted(group), 2))
-
-
 def _power_ok(selected: Iterable[tuple[int, int]], classes: Sequence[str]) -> bool:
     """Every selected link joining two load-only components must be backed
     by a selected link from one of its endpoints to a generator component."""
@@ -235,41 +235,31 @@ def _spans(group: Sequence[int], selected: Sequence[tuple[int, int]]) -> bool:
 def _connect_group(
     group: Sequence[int],
     mceic: MceicMatrix,
-    flat: FlatIndex,
     classes: Sequence[str],
-) -> Optional[tuple[list[tuple[int, int]], float]]:
-    """Cheapest power-feasible link selection connecting one merge group;
-    None if the power rule makes the group infeasible.
+) -> Optional[tuple[tuple[tuple[int, int], ...], float]]:
+    """Cheapest power-feasible spanning tree of one merge group, as a sorted
+    pair tuple with its exact cost; None if the group has no generator.
 
-    Tree edges between load-only components must be justified, possibly by
-    an extra (otherwise redundant) link to a generator component, so the
-    selection is found by subset enumeration over the group's links.
+    Trees are ranked by (rounded cost, sorted pairs).  A group with a
+    generator component always has a feasible tree: the star around that
+    component holds no load-load link.
     """
     group = sorted(group)
     if len(group) == 1:
-        return [], 0.0
+        return (), 0.0
     if all(classes[c - 1] == LOAD_ONLY for c in group):
         return None  # any connecting tree contains an unjustifiable load-load link
-    links = _group_links(group)
-    best: Optional[tuple[float, tuple[int, ...], list[tuple[int, int]]]] = None
-    sorted_costs = sorted(mceic.pair_cost(*p) for p in links)
-    for r in range(len(group) - 1, len(links) + 1):
-        # any size-r selection costs at least the r cheapest links; once that
-        # floor exceeds the incumbent no larger size can improve either
-        if best is not None and sum(sorted_costs[:r]) > best[0] + 1e-9:
-            break
-        for sel in combinations(links, r):
-            if not _spans(group, sel):
-                continue
-            if not _power_ok(sel, classes):
-                continue
-            total = sum(mceic.pair_cost(*p) for p in sel)
-            key = (total, tuple(sorted(flat.sigma(*p) for p in sel)))
-            if best is None or key < (best[0], best[1]):
-                best = (key[0], key[1], sorted(sel, key=lambda p: flat.sigma(*p)))
-    if best is None:
-        return None
-    return best[2], best[0]
+    best: Optional[tuple[float, tuple[tuple[int, int], ...], float]] = None
+    # pairs in lexicographic order, so each tree comes as a sorted tuple
+    for tree in combinations(combinations(group, 2), len(group) - 1):
+        if not _spans(group, tree) or not _power_ok(tree, classes):
+            continue
+        total = sum(mceic.pair_cost(*p) for p in tree)
+        key = (round(total, 9), tree, total)  # trees differ, so total never decides
+        if best is None or key < best:
+            best = key
+    assert best is not None
+    return best[1], best[2]
 
 
 def _plan_from_selection(
@@ -294,19 +284,18 @@ def _plan_from_selection(
     return ReconstructionPlan(tuple(pairs), links, total, part, rupture)
 
 
-def _solve_largest_group(m: ResponseModel, flat: FlatIndex) -> list[tuple[int, int]]:
+def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
     """Default-path search over the group S of components that becomes the
     largest merged component, in O(2^s * s^2), or in O(s^2 log s) when the
     Kruskal tree over all s components fits the budget: that full merge
     then is the plan.
 
-    For each S, Kruskal over the MCEIC pairs inside S in (cost, sigma) order
+    For each S, Kruskal over the MCEIC pairs inside S in (cost, pair) order
     gives S's tree; S is skipped if the tree is over budget.  The same
     union-find then continues over the pairs inside the complement R,
     accepting links in ranked order until the next one would exceed the
-    budget.  The result
-    is scored r = -|X| - size(S) + (s - links) and the minimum of the key
-    (r, rounded total cost, sorted sigma positions) wins.
+    budget.  The result is scored r = -|X| - size(S) + (s - links) and the
+    minimum of the key (r, rounded total cost, sorted pairs) wins.
 
     Why this is the same plan as minimizing that key over all set
     partitions with Kruskal-priced groups:
@@ -318,8 +307,8 @@ def _solve_largest_group(m: ResponseModel, flat: FlatIndex) -> list[tuple[int, i
       because the same partition is scored exactly when that larger group
       is taken as S.
     - Cost and tie-break.  Minimum-weight forests split into independent
-      choices, one per cost class, and Kruskal in (cost, sigma) order picks
-      the smallest sorted-sigma choice in every class.  S's tree is a
+      choices, one per cost class, and Kruskal in (cost, pair) order picks
+      the smallest sorted-pair choice in every class.  S's tree is a
       disjoint set of the same size across candidates, so adding it keeps
       the sorted-tuple order.  The result is the same plan, not only the
       same rupture.
@@ -327,43 +316,55 @@ def _solve_largest_group(m: ResponseModel, flat: FlatIndex) -> list[tuple[int, i
     Each forest component is the Kruskal tree of its own components, so
     transitively redundant links never enter a plan.
     """
-    s = flat.s
-    limit = m.effective_budget + 1e-9
+    s = m.partition.count
+    limit = m.effective_budget + BUDGET_TOL
     ranked = [
-        (c, z, a, b, (1 << (a - 1)) | (1 << (b - 1)))
-        for c, z, a, b in sorted(
-            (m.mceic.pair_cost(a, b), flat.sigma(a, b), a, b)
-            for a, b in combinations(range(1, s + 1), 2)
+        (c, pair, (1 << (pair[0] - 1)) | (1 << (pair[1] - 1)))
+        for c, pair in sorted(
+            (m.mceic.pair_cost(*pair), pair)
+            for pair in combinations(range(1, s + 1), 2)
         )
     ]
+
+    def kruskal(inside: int, parent: list[int], chosen: list[tuple[int, int]],
+                total: float) -> tuple[float, bool]:
+        """Extend the union-find `parent` and the links `chosen` by Kruskal
+        over the pairs inside the component set `inside`, until it is
+        joined or the next link would exceed the budget.  Returns the new
+        total and whether `inside` is joined."""
+        need = inside.bit_count() - 1
+        for c, pair, mask in ranked:
+            if need <= 0 or total + c > limit:
+                break  # costs only grow along the ranking
+            if mask & inside != mask:
+                continue
+            a, b = pair
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                total += c
+                chosen.append(pair)
+                need -= 1
+        return total, need <= 0
+
     # S = all components first.  Its floor r = -|X| - n_r + 1 lies below
     # every other group's, so if its Kruskal tree fits the budget it is
     # the plan, and the 2^s table is never built.
-    parent = list(range(s + 1))
-    total = 0.0
-    chosen: list[int] = []
-    for c, z, a, b, _ in ranked:
-        if len(chosen) == s - 1 or total + c > limit:
-            break
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            total += c
-            chosen.append(z)
-    if len(chosen) == s - 1:
-        return [flat.unsigma(z) for z in sorted(chosen)]
+    full = (1 << s) - 1
+    chosen: list[tuple[int, int]] = []
+    if kruskal(full, list(range(s + 1)), chosen, 0.0)[1]:
+        return sorted(chosen)
 
     sizes = m.partition.sizes
-    full = (1 << s) - 1
     group_size = [0] * (full + 1)
     for group in range(1, full + 1):
         low = group & -group
         group_size[group] = group_size[group ^ low] + sizes[low.bit_length() - 1]
 
-    best: Optional[tuple[int, float, tuple[int, ...]]] = None
+    best: Optional[tuple[int, float, tuple[tuple[int, int], ...]]] = None
     # larger groups first: they set a low incumbent that prunes the rest;
     # the full group's tree is over budget
     for group in range(full - 1, 0, -1):
@@ -372,79 +373,74 @@ def _solve_largest_group(m: ResponseModel, flat: FlatIndex) -> list[tuple[int, i
         if best is not None and floor > best[0]:
             continue
         parent = list(range(s + 1))   # union-find over components
-        total = 0.0
         chosen = []
-        for inside in (group, full ^ group):
-            need = inside.bit_count() - 1
-            for c, z, a, b, mask in ranked:
-                if need <= 0 or total + c > limit:
-                    break  # costs only grow along the ranking
-                if mask & inside != mask:
-                    continue
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if a != b:
-                    parent[a] = b
-                    total += c
-                    chosen.append(z)
-                    need -= 1
-            if inside == group and need > 0:
-                break  # S's tree is over budget
-        else:
-            r = -m.cut_size - group_size[group] + (s - len(chosen))
-            rounded = round(total, 9)
-            if best is None or (r, rounded) <= best[:2]:
-                key = (r, rounded, tuple(sorted(chosen)))
-                if best is None or key < best:
-                    best = key
+        total, joined = kruskal(group, parent, chosen, 0.0)
+        if not joined:
+            continue  # S's tree is over budget
+        total = kruskal(full ^ group, parent, chosen, total)[0]
+        r = -m.cut_size - group_size[group] + (s - len(chosen))
+        rounded = round(total, 9)
+        if best is None or (r, rounded) <= best[:2]:
+            key = (r, rounded, tuple(sorted(chosen)))
+            if best is None or key < best:
+                best = key
     # a one-component S needs no tree, so some group always scores
     assert best is not None
-    return [flat.unsigma(z) for z in best[2]]
+    return list(best[2])
 
 
-def _solve_power_partitions(m: ResponseModel, flat: FlatIndex) -> list[tuple[int, int]]:
-    """Power-rule search: enumerate set partitions of the components and
-    price each group by its cheapest power-feasible connecting selection."""
+def _solve_power_partitions(m: ResponseModel) -> list[tuple[int, int]]:
+    """Power-rule search: enumerate set partitions of the components, join
+    each group by its cheapest power-feasible spanning tree, and keep the
+    minimum of (r, rounded total cost, sorted pairs).
+
+    Spanning trees suffice.  In a power-feasible selection with a cycle,
+    drop a load-load link of the cycle, as it backs nothing; else a
+    generator-generator one; else every cycle link joins a load-only
+    component to a generator one, and each load on the cycle has two of
+    them, so drop one and the other still backs it.  The merged groups
+    and feasibility stay, and nonnegative costs do not grow.  A backing
+    link lies in its group, so feasibility is checked per group; the
+    groups' trees are disjoint and of fixed sizes, so the per-group
+    smallest pair tuples join into the smallest one.
+    """
     assert m.component_class is not None  # checked by ResponseModel
-    budget = m.effective_budget
-    best: Optional[tuple[tuple[int, float, tuple[int, ...]], list[tuple[int, int]]]] = None
+    limit = m.effective_budget + BUDGET_TOL
     sizes = m.partition.sizes
-    for groups in _set_partitions(flat.s):
+    best: Optional[tuple[int, float, tuple[tuple[int, int], ...]]] = None
+    for groups in _set_partitions(m.partition.count):
         pairs: list[tuple[int, int]] = []
         total = 0.0
-        feasible = True
         for group in groups:
-            conn = _connect_group(group, m.mceic, flat, m.component_class)
-            if conn is None:
-                feasible = False
+            tree = _connect_group(group, m.mceic, m.component_class)
+            if tree is None:
                 break
-            pairs.extend(conn[0])
-            total += conn[1]
-        if not feasible or total > budget + 1e-9:
-            continue
-        omega = len(groups)
-        largest = max(sum(sizes[c - 1] for c in group) for group in groups)
-        r = -m.cut_size - largest + omega
-        key = (r, round(total, 9), tuple(sorted(flat.sigma(*pr) for pr in pairs)))
-        if best is None or key < best[0]:
-            best = (key, sorted(pairs, key=lambda pr: flat.sigma(*pr)))
+            pairs += tree[0]
+            total += tree[1]
+        else:
+            if total > limit:
+                continue
+            largest = max(sum(sizes[c - 1] for c in group) for group in groups)
+            r = -m.cut_size - largest + len(groups)
+            key = (r, round(total, 9), tuple(sorted(pairs)))
+            if best is None or key < best:
+                best = key
     # the all-singletons partition is feasible, so best is set
     assert best is not None
-    return best[1]
+    return list(best[2])
 
 
 def solve_response(m: ResponseModel) -> ReconstructionPlan:
-    """Exact minimizer of r = -|X| - m' + w' over budget-feasible MCEIC
-    selections.
+    """Exact minimizer of r = -|X| - m' + w' over budget-feasible forests of
+    MCEIC pairs.
 
-    Redundant links never enter a plan, except a backing link to a
-    generator component under the power rule.  Ties on the objective break
-    by total cost, then by the sorted flattened link positions.  With at
-    most one component the plan is empty, and so it is under the power rule
-    when no component has a generator: every link then joins two load-only
-    components and nothing can back it.
+    Ties on the objective break by total cost, rounded to 9 decimals, then
+    by the sorted pair tuple.  A forest loses nothing: dropping a link on a
+    cycle keeps the merged groups, and under the power rule also the
+    backing of every load-load link (see :func:`_solve_power_partitions`).
+    With at most one component the plan is empty, and so it is under the
+    power rule when no component has a generator: every link then joins
+    two load-only components and nothing can back it.
     """
     s = m.partition.count
     if s <= 1 or (m.power_constraint and HAS_GENERATOR not in m.component_class):
@@ -454,31 +450,30 @@ def solve_response(m: ResponseModel) -> ReconstructionPlan:
         raise SizeLimitError(
             f"{s} components exceed the response solver cap {cap}"
         )
-    flat = flatten(s)
     if m.power_constraint:
-        return _plan_from_selection(m, _solve_power_partitions(m, flat))
-    return _plan_from_selection(m, _solve_largest_group(m, flat))
+        return _plan_from_selection(m, _solve_power_partitions(m))
+    return _plan_from_selection(m, _solve_largest_group(m))
 
 
 def brute_force_response(m: ResponseModel) -> ReconstructionPlan:
-    """Independent oracle: enumerate every subset of the flattened MCEIC
-    links (budget-pruned) and score it from first principles.
+    """Independent oracle: enumerate every subset of the MCEIC pairs
+    (budget-pruned, in pair order) and score each forest from first
+    principles, by the key (r, rounded total cost, sorted pairs).
 
-    Without the power rule only forests are scored, as redundant links never
-    enter a plan; under it a backing link to a generator component may close
-    a cycle, so every subset is scored."""
+    Only forests are scored, with or without the power rule: dropping a
+    cycle link keeps a selection's merged groups and power feasibility
+    at no more cost (see :func:`_solve_power_partitions`)."""
     s = m.partition.count
     if s <= 1:
         return _plan_from_selection(m, [])
-    flat = flatten(s)
-    if flat.length > ORACLE_MAX_LINKS:
+    all_pairs = list(combinations(range(1, s + 1), 2))
+    if len(all_pairs) > ORACLE_MAX_LINKS:
         raise SizeLimitError(
-            f"{flat.length} candidate links exceed the oracle cap {ORACLE_MAX_LINKS}"
+            f"{len(all_pairs)} candidate links exceed the oracle cap {ORACLE_MAX_LINKS}"
         )
-    all_pairs = [flat.unsigma(z) for z in range(1, flat.length + 1)]
-    budget = m.effective_budget
+    limit = m.effective_budget + BUDGET_TOL
     sizes = m.partition.sizes
-    best: Optional[tuple[tuple[int, float, tuple[int, ...]], list[tuple[int, int]]]] = None
+    best: Optional[tuple[int, float, tuple[tuple[int, int], ...]]] = None
 
     def score(selection: list[tuple[int, int]], total: float) -> None:
         nonlocal best
@@ -486,17 +481,17 @@ def brute_force_response(m: ResponseModel) -> ReconstructionPlan:
             return
         dsu = _DSU(s)
         for a, b in selection:
-            if not dsu.union(a, b) and not m.power_constraint:
-                return
+            if not dsu.union(a, b):
+                return  # a cycle
         group_sizes: dict[int, int] = {}
         for c in range(1, s + 1):
             root = dsu.find(c)
             group_sizes[root] = group_sizes.get(root, 0) + sizes[c - 1]
         omega = len(group_sizes)
         r = -m.cut_size - max(group_sizes.values()) + omega
-        key = (r, round(total, 9), tuple(sorted(flat.sigma(*pr) for pr in selection)))
-        if best is None or key < best[0]:
-            best = (key, list(selection))
+        key = (r, round(total, 9), tuple(selection))
+        if best is None or key < best:
+            best = key
 
     def rec(z: int, selection: list[tuple[int, int]], total: float) -> None:
         if z == len(all_pairs):
@@ -504,7 +499,7 @@ def brute_force_response(m: ResponseModel) -> ReconstructionPlan:
             return
         pair = all_pairs[z]
         c = m.mceic.pair_cost(*pair)
-        if total + c <= budget + 1e-9:
+        if total + c <= limit:
             selection.append(pair)
             rec(z + 1, selection, total + c)
             selection.pop()
@@ -512,14 +507,7 @@ def brute_force_response(m: ResponseModel) -> ReconstructionPlan:
 
     rec(0, [], 0.0)
     assert best is not None  # the empty selection always scores
-    return _plan_from_selection(m, best[1])
-
-
-def apply_power_constraint(m: ResponseModel) -> ResponseModel:
-    """Enable the generator-backing constraint for load-only component pairs."""
-    if m.component_class is None:
-        raise InputError("power constraint requires component classes")
-    return replace(m, power_constraint=True)
+    return _plan_from_selection(m, best[2])
 
 
 def classify_components(g: Graph, p: ComponentPartition) -> tuple[str, ...]:

@@ -96,6 +96,50 @@ class TestRespondCommand:
         assert len(doc["response"]["links"]) == 2
 
 
+def power_star_text(classes, link_cost, response):
+    """A star with centre 6 and leaves 1-5, attack budget 1, the given node
+    classes, leaf-to-leaf link costs and response budget."""
+    lines = ["FORMAT rupturekit-instance 1", "NODES 6", "EDGES 5"]
+    lines += [f"{v} 6" for v in range(1, 6)]
+    lines.append("LINK_COSTS")
+    lines += [f"{i} {j} {c:.6f}" for (i, j), c in sorted(link_cost.items())]
+    lines.append("CLASSES")
+    lines += [f"{v} {cls}" for v, cls in enumerate(classes, start=1)]
+    lines += ["BUDGETS", "attack 1.000000", f"response {response:.6f}",
+              "ATTACK", "targeted", "END"]
+    return "\n".join(lines) + "\n"
+
+
+class TestPowerPlansAreForests:
+    """Under the power rule the solver and the oracle agree on the whole plan
+    on ties: zero-cost cycles and fractional costs whose float sums differ."""
+
+    def run(self, runner, tmp_path, text):
+        path = tmp_path / "star.txt"
+        path.write_text(text)
+        return runner.invoke(main, ["pipeline", str(path), "--power-constraint",
+                                    "--oracle-check"])
+
+    def test_zero_cost_cycle(self, runner, tmp_path):
+        # free links inside {1,2,3} and {4,5}: a free cycle adds nothing
+        cost = {(i, j): 0.0 if {i, j} <= {1, 2, 3} or {i, j} <= {4, 5}
+                else 1.0
+                for i in range(1, 6) for j in range(i + 1, 6)}
+        res = self.run(runner, tmp_path,
+                       power_star_text(["generator"] * 6, cost, 0.0))
+        assert res.exit_code == 0, res.output
+        assert "links_added=3  budget_used=0.000000" in res.output
+
+    def test_fractional_cost_tie(self, runner, tmp_path):
+        # .3 + .7 + .3 + .7 and .3 + .3 + .7 + .7 are two floats, one cost
+        cost = {(1, 2): .7, (1, 3): .7, (1, 4): 2, (1, 5): .3, (2, 3): 2,
+                (2, 4): .7, (2, 5): .3, (3, 4): 2, (3, 5): .7, (4, 5): .7}
+        classes = ["load", "generator", "load", "generator", "load", "load"]
+        res = self.run(runner, tmp_path, power_star_text(classes, cost, 3.0))
+        assert res.exit_code == 0, res.output
+        assert "links_added=4  budget_used=2.000000" in res.output
+
+
 K2 = ("FORMAT rupturekit-instance 1\nNODES 2\nEDGES 1\n1 2\n"
       "BUDGETS\nattack 1.000000\nATTACK\ntargeted\nEND\n")
 C4_DESIGNATED = ("FORMAT rupturekit-instance 1\nNODES 4\nEDGES 4\n"

@@ -18,7 +18,6 @@ from rupturekit.response import (
     POWER_GROUP_MAX,
     SOLVER_MAX_COMPONENTS,
     ResponseModel,
-    apply_power_constraint,
     brute_force_response,
     classify_components,
     dynamic_worst_cut,
@@ -122,8 +121,8 @@ class TestSolveResponse:
 
     def test_zero_cost_ties_never_add_a_redundant_link(self):
         # four singletons, free links except (1,4) and (3,4): the free cycle
-        # (1,2),(1,3),(2,3) plus (2,4) has sigmas (1,2,4,5), which sort
-        # before the tree's (1,2,5), but its link (2,3) is redundant
+        # (1,2),(1,3),(2,3) plus (2,4) sorts before the tree's
+        # (1,2),(1,3),(2,4), but its link (2,3) is redundant
         g = Graph(4, [], link_cost={(1, 2): 0.0, (1, 3): 0.0, (1, 4): 1.0,
                                     (2, 3): 0.0, (2, 4): 0.0, (3, 4): 1.0})
         part = components(g, [])
@@ -203,8 +202,7 @@ class TestDegenerateAndCaps:
     def test_power_cap_is_solved(self):
         s = POWER_GROUP_MAX
         classes = (HAS_GENERATOR,) + (LOAD_ONLY,) * (s - 1)
-        m = singletons_model(s, budget=3.0, classes=classes)
-        assert solve_response(m).selected == brute_force_response(m).selected
+        same_plan(singletons_model(s, budget=3.0, classes=classes))
 
     def test_power_without_generator_is_empty_plan(self, monkeypatch):
         # every link joins two load-only components, so none can be backed
@@ -234,7 +232,8 @@ def response_models(draw, power=False):
         start += length
     n = start - 1
     palette = draw(st.sampled_from([(0.0,), (0.0, 1.0), (1.0,), (1.0, 2.0),
-                                    (0.0, 0.5, 1.5), (1.0, 1.1, 1.2)]))
+                                    (0.0, 0.5, 1.5), (1.0, 1.1, 1.2),
+                                    (0.1, 0.2, 0.3), (0.3, 0.7, 2.0)]))
     edge_set = set(edges)
     link_cost = {p: draw(st.sampled_from(palette))
                  for p in combinations(range(1, n + 1), 2) if p not in edge_set}
@@ -256,6 +255,8 @@ def same_plan(m):
     b = brute_force_response(m)
     assert (a.selected, a.links, a.total_cost, a.rupture) == (
         b.selected, b.links, b.total_cost, b.rupture)
+    # a forest: each selected pair merges two groups
+    assert len(a.selected) == m.partition.count - a.merged_partition.count
     return a
 
 
@@ -324,7 +325,7 @@ class TestPowerConstraint:
         mc = mceic_matrix(g, part)
         classes = classify_components(g, part)
         free = ResponseModel(part, mc, 2.0, 0, classes, False)
-        constrained = apply_power_constraint(free)
+        constrained = replace(free, power_constraint=True)
         plan_free = solve_response(free)
         plan_pc = solve_response(constrained)
         assert plan_free.links == ((3, 4),)
@@ -342,8 +343,7 @@ class TestPowerConstraint:
         mc = mceic_matrix(g, part)
         classes = classify_components(g, part)
         for budget in (1.5, 3.0, None):
-            m = ResponseModel(part, mc, budget, 0, classes, True)
-            assert solve_response(m).rupture == brute_force_response(m).rupture
+            same_plan(ResponseModel(part, mc, budget, 0, classes, True))
 
 
 class TestDynamicWorstCut:
