@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import combinations, starmap
+from operator import itemgetter, lt
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, SizeLimitError
 
@@ -34,13 +35,17 @@ class Graph:
         if n < 1:
             raise InputError(f"node count must be >= 1, got {n}")
         self.n = n
-        norm = set()
-        for i, j in edges:
-            if i == j:
-                raise InputError(f"self-loop at node {i}")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise InputError(f"edge ({i},{j}) out of range 1..{n}")
-            norm.add((min(i, j), max(i, j)))
+        edges = tuple(edges)
+        if _ordered_pairs(edges, n):
+            norm = set(map(tuple, edges))
+        else:
+            norm = set()
+            for i, j in edges:
+                if i == j:
+                    raise InputError(f"self-loop at node {i}")
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise InputError(f"edge ({i},{j}) out of range 1..{n}")
+                norm.add((min(i, j), max(i, j)))
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
         self.edge_set = frozenset(self.edges)
 
@@ -54,7 +59,11 @@ class Graph:
             self.attack_cost = tuple(float(c) for c in attack_cost)
 
         self.link_cost: dict[tuple[int, int], float] = {}
-        if link_cost:
+        costs = link_cost.values() if link_cost else ()
+        if costs and _ordered_pairs(link_cost, n) and all(
+                map(math.isfinite, costs)) and min(costs) >= 0:
+            self.link_cost = dict(zip(link_cost, map(float, costs)))
+        elif costs:
             for (i, j), d in link_cost.items():
                 if i == j or not (1 <= i <= n and 1 <= j <= n):
                     raise InputError(f"link cost pair ({i},{j}) invalid")
@@ -172,6 +181,16 @@ class RuptureScore:
     @property
     def resilience(self) -> int:
         return -self.rupture
+
+
+def _ordered_pairs(pairs: Collection[tuple[int, int]], n: int) -> bool:
+    """True when `pairs` is nonempty and each pair is (i, j) with
+    1 <= i < j <= n, the form the instance parser and Graph itself write:
+    such pairs are checked in bulk, not one by one, and need no
+    normalisation."""
+    return (bool(pairs) and all(starmap(lt, pairs))
+            and 1 <= min(map(itemgetter(0), pairs))
+            and max(map(itemgetter(1), pairs)) <= n)
 
 
 def _mask_to_nodes(mask: int) -> list[int]:

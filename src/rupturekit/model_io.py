@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import lt
 from typing import Optional, Sequence
 
 from .attack import AttackResult
@@ -106,27 +107,33 @@ def parse_instance(text: str) -> InstanceFile:
     row is checked for its section's width, and each token goes through a
     line-agnostic reader (`parse_node`, `parse_cost`, `parse_budget`) whose
     error gets the row's line number here.
-    """
-    lines = text.splitlines()
-    rows: list[tuple[int, list[str]]] = []
-    for ln, raw in enumerate(lines, 1):
-        fields = raw.split("#", 1)[0].split()
-        if fields == ["END"]:
-            break
-        if fields:
-            rows.append((ln, fields))
-    else:
-        raise InstanceFormatError(len(lines), "unexpected end of file")
-    rows.append((ln, ["END"]))  # a missing opening line is reported at END
 
-    for (ln, fields), usage in zip(rows, _OPENING):
+    The bulk sections, EDGES, ATTACK_COSTS and LINK_COSTS, are first read
+    column by column and checked as wholes.  Only a section that fails
+    this check is read again row by row, which reports its first bad row;
+    sections are read in file order, so the first error in the file is
+    the one reported.
+    """
+    # the lines' tokens, comments cut off; the lines themselves are not kept
+    toks = ([raw.split("#", 1)[0].split() for raw in text.splitlines()]
+            if "#" in text else [raw.split() for raw in text.splitlines()])
+    try:
+        end = toks.index(["END"])
+    except ValueError:
+        raise InstanceFormatError(len(toks), "unexpected end of file") from None
+    # the nonblank rows before END and their line numbers, then END itself,
+    # where a missing opening line is reported
+    rows = [*filter(None, toks[:end]), ["END"]]
+    lns = [*compress(range(1, end + 1), toks), end + 1]
+
+    for ln, fields, usage in zip(lns, rows, _OPENING):
         words = usage.split()
         if len(fields) != len(words) or not all(
                 f.isdecimal() if w == "<count>" else f == w
                 for w, f in zip(words, fields)):
             raise InstanceFormatError(ln, f"expected '{usage}'")
-    (n_ln, (_, n)), (m_ln, (_, m)) = rows[1:3]
-    n, m = int(n), int(m)
+    n_ln, m_ln = lns[1:3]
+    n, m = int(rows[1][1]), int(rows[2][1])
     if n < 1:
         raise InstanceFormatError(n_ln, "node count must be >= 1")
 
@@ -178,29 +185,91 @@ def parse_instance(text: str) -> InstanceFile:
             raise InputError(f"{kind} attack needs a node list")
         attack.append((kind, tuple(parse_node(v, n) for v in nodes)))
 
-    sections = {  # header -> (fields per row, None for any; row reader)
-        "EDGES": (2, edge), "ATTACK_COSTS": (2, attack_cost_row),
-        "LINK_COSTS": (3, link_cost_row), "CLASSES": (2, class_row),
-        "BUDGETS": (2, budget_row), "ATTACK": (None, attack_row),
+    # Column readers of the bulk sections: each takes the section's
+    # columns of tokens and returns False, changing nothing, where a row
+    # reader would raise.  Nodes are looked up as the decimals 1..n; a
+    # column with another spelling, such as 07, is left to the rows, and
+    # so is a pair not written as i < j (the canonical order) or a
+    # repeated link-cost pair, whose costs the rows compare.  float() may
+    # raise ValueError instead.
+    node_of = dict(zip(map(str, range(1, n + 1)), range(1, n + 1)))
+
+    def nodes(col):
+        col = list(map(node_of.get, col))
+        return None if None in col else col
+
+    def costs(col):
+        col = list(map(float, col))
+        return col if all(map(math.isfinite, col)) and min(col) >= 0 else None
+
+    def edge_columns(i, j):
+        i, j = nodes(i), nodes(j)
+        if i is None or j is None or not all(map(lt, i, j)):
+            return False
+        edges.extend(zip(i, j))
+        return True
+
+    def attack_cost_columns(v, c):
+        v, c = nodes(v), costs(c)
+        if v is None or c is None:
+            return False
+        attack_cost.update(zip(v, c))
+        return True
+
+    def link_cost_columns(i, j, d):
+        i, j, d = nodes(i), nodes(j), costs(d)
+        if i is None or j is None or d is None or not all(map(lt, i, j)):
+            return False
+        # link_cost is still empty: the section appears once
+        link_cost.update(zip(zip(i, j), d))
+        if len(link_cost) < len(d):  # a repeated pair
+            link_cost.clear()
+            return False
+        return True
+
+    sections = {  # header -> (fields per row, None for any; row reader;
+                  # column reader or None)
+        "EDGES": (2, edge, edge_columns),
+        "ATTACK_COSTS": (2, attack_cost_row, attack_cost_columns),
+        "LINK_COSTS": (3, link_cost_row, link_cost_columns),
+        "CLASSES": (2, class_row, None), "BUDGETS": (2, budget_row, None),
+        "ATTACK": (None, attack_row, None),
     }
-    seen = {"EDGES": m_ln}
-    width, read, name = 2, edge, "EDGES"
-    try:
-        for ln, fields in rows[3:-1]:
-            if fields[0][0].isupper():
-                name = " ".join(fields)
-                if name not in sections:
-                    raise InputError(f"unknown section {name!r}")
-                if name in seen:
-                    raise InputError(f"repeated section {name}")
-                seen[name] = ln
-                width, read = sections[name]
-            elif width is not None and len(fields) != width:
-                raise InputError(f"{name} row needs {width} fields, got {len(fields)}")
-            else:
+
+    def read_section(name, start, stop):
+        width, read, read_columns = sections[name]
+        body = rows[start:stop]
+        if read_columns is not None and set(map(len, body)) == {width}:
+            try:
+                if read_columns(*zip(*body)):
+                    return
+            except ValueError:
+                pass  # a bad token: the rows name it
+        ln = 0
+        try:
+            for ln, fields in zip(lns[start:stop], body):
+                if width is not None and len(fields) != width:
+                    raise InputError(
+                        f"{name} row needs {width} fields, got {len(fields)}")
                 read(*fields)
-    except InputError as exc:
-        raise InstanceFormatError(ln, str(exc)) from None
+        except InputError as exc:
+            raise InstanceFormatError(ln, str(exc)) from None
+
+    # section headers: the rows after the opening whose first token starts
+    # with an upper-case letter
+    heads = [k for k in range(3, len(rows) - 1) if rows[k][0][0].isupper()]
+    seen = {"EDGES": m_ln}
+    name, start = "EDGES", 3
+    for k in heads:
+        read_section(name, start, k)
+        name = " ".join(rows[k])
+        if name not in sections:
+            raise InstanceFormatError(lns[k], f"unknown section {name!r}")
+        if name in seen:
+            raise InstanceFormatError(lns[k], f"repeated section {name}")
+        seen[name] = lns[k]
+        start = k + 1
+    read_section(name, start, len(rows) - 1)
     if len(edges) != m:
         raise InstanceFormatError(m_ln, f"EDGES declares {m} edges, found {len(edges)}")
     if "ATTACK" in seen and len(attack) != 1:

@@ -408,11 +408,15 @@ def _solve_power_partitions(m: ResponseModel) -> list[tuple[int, int]]:
     limit = m.effective_budget + BUDGET_TOL
     sizes = m.partition.sizes
     best: Optional[tuple[int, float, tuple[tuple[int, int], ...]]] = None
+    # a group's tree depends on the group alone, and many partitions share it
+    trees: dict[tuple[int, ...], Optional[tuple]] = {}
     for groups in _set_partitions(m.partition.count):
         pairs: list[tuple[int, int]] = []
         total = 0.0
         for group in groups:
-            tree = _connect_group(group, m.mceic, m.component_class)
+            if group not in trees:
+                trees[group] = _connect_group(group, m.mceic, m.component_class)
+            tree = trees[group]
             if tree is None:
                 break
             pairs += tree[0]

@@ -131,6 +131,107 @@ class TestParse:
         assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
 
 
+# several rows in each bulk section, which is read column by column
+FOUR = """\
+FORMAT rupturekit-instance 1
+NODES 4
+EDGES 3
+1 2
+2 3
+3 4
+ATTACK_COSTS
+1 1.000000
+2 2.000000
+3 1.500000
+4 1.000000
+LINK_COSTS
+1 3 2.000000
+1 4 3.000000
+2 4 2.500000
+ATTACK
+targeted
+END
+"""
+
+
+def parse_error(text):
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(text)
+    return exc.value.line, str(exc.value)
+
+
+class TestBulkSections:
+    def test_four(self):
+        inst = parse_instance(FOUR)
+        assert inst.edges == ((1, 2), (2, 3), (3, 4))
+        assert inst.attack_cost == (1.0, 2.0, 1.5, 1.0)
+        assert inst.link_cost == {(1, 3): 2.0, (1, 4): 3.0, (2, 4): 2.5}
+
+    # a bad token or value names its own row, wherever it sits in the section
+    @pytest.mark.parametrize("old,new,line,message", [
+        ("2 3\n", "2 x\n", 5, "bad node 'x'"),
+        ("3 4\n", "3 9\n", 6, "node 9 out of range 1..4"),
+        ("2 3\n", "3 3\n", 5, "self-loop at node 3"),
+        ("3 1.500000", "3 1.5e", 10, "bad attack cost '1.5e'"),
+        ("2 2.000000", "2 -2", 9, "attack cost must be nonnegative"),
+        ("3 1.500000", "0 1.500000", 10, "node 0 out of range 1..4"),
+        ("1 4 3.000000", "1 4 x", 14, "bad link cost 'x'"),
+        ("1 4 3.000000", "1 4 nan", 14, "bad link cost 'nan'"),
+        ("1 4 3.000000", "4 4 3.000000", 14,
+         "link cost pair must be distinct nodes"),
+        ("2 4 2.500000", "2 4 2.5 1", 15, "LINK_COSTS row needs 3 fields, got 4"),
+    ], ids=["edge-token", "edge-range", "edge-loop", "attack-cost-token",
+            "attack-cost-negative", "attack-cost-node", "link-cost-token",
+            "link-cost-nan", "link-cost-pair", "link-cost-width"])
+    def test_bad_row(self, old, new, line, message):
+        text = FOUR.replace(old, new, 1)
+        assert parse_error(text) == (line, f"line {line}: {message}")
+
+    def test_first_error_in_file_order(self):
+        # a bad row before a bad header: the row is reported
+        text = FOUR.replace("2 3\n", "2 x\n").replace("ATTACK\n", "ATTACKS\n")
+        assert parse_error(text) == (5, "line 5: bad node 'x'")
+        # a bad header before a bad row: the header is reported
+        text = FOUR.replace("LINK_COSTS", "LINK_COST").replace("2 4 2.5", "2 x 2.5")
+        assert parse_error(text) == (12, "line 12: unknown section 'LINK_COST'")
+
+    def test_comment_in_link_cost_row(self):
+        text = FOUR.replace("1 4 3.000000", "1 4 3.000000  # a dear one")
+        assert parse_instance(text) == parse_instance(FOUR)
+        text = FOUR.replace("1 4 3.000000", "1 4 # 3.000000")
+        assert parse_error(text) == (
+            14, "line 14: LINK_COSTS row needs 3 fields, got 2")
+
+    @pytest.mark.parametrize("repeat", ["1 4 3.000000", "4 1 3.0"])
+    def test_repeated_pair_with_equal_cost(self, repeat):
+        text = FOUR.replace("2 4 2.500000", f"{repeat}\n2 4 2.500000")
+        assert parse_instance(text) == parse_instance(FOUR)
+
+    @pytest.mark.parametrize("repeat", ["1 4 3.5", "4 1 3.5"])
+    def test_repeated_pair_with_asymmetric_cost(self, repeat):
+        text = FOUR.replace("2 4 2.500000", f"{repeat}\n2 4 2.500000")
+        assert parse_error(text) == (
+            15, "line 15: asymmetric link cost for pair 1-4")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_read_what_columns_read(self, seed):
+        # reversed pairs and zero-padded nodes are valid rows that only the
+        # row readers take, so this text is read row by row
+        config = bench.BenchConfig(seed=seed, count=1, n_min=9, n_max=12)
+        text = emit_instance(bench.gen_random(config)[0])
+        lines = text.splitlines()
+        section = None
+        for k, line in enumerate(lines):
+            fields = line.split()
+            if fields[0][0].isupper():
+                section = fields[0]
+            elif section in ("EDGES", "LINK_COSTS"):
+                lines[k] = " ".join([fields[1], fields[0], *fields[2:]])
+            elif section == "ATTACK_COSTS":
+                lines[k] = f"0{fields[0]} {fields[1]}"
+        assert parse_instance("\n".join(lines)) == parse_instance(text)
+
+
 class TestInstanceFile:
     @pytest.mark.parametrize("field,bad", [
         ("budget_attack", math.nan), ("budget_attack", math.inf),

@@ -199,10 +199,21 @@ class TestDegenerateAndCaps:
             with pytest.raises(SizeLimitError):
                 solve_response(singletons_model(s, budget, classes))
 
-    def test_power_cap_is_solved(self):
+    def test_power_cap_is_solved(self, monkeypatch):
         s = POWER_GROUP_MAX
         classes = (HAS_GENERATOR,) + (LOAD_ONLY,) * (s - 1)
+        priced = []
+        connect = response._connect_group
+
+        def counted(group, *args):
+            priced.append(group)
+            return connect(group, *args)
+
+        monkeypatch.setattr(response, "_connect_group", counted)
         same_plan(singletons_model(s, budget=3.0, classes=classes))
+        # every nonempty subset of the components is a group of some
+        # partition, and the solve prices each group once
+        assert len(priced) == len(set(priced)) == 2 ** s - 1
 
     def test_power_without_generator_is_empty_plan(self, monkeypatch):
         # every link joins two load-only components, so none can be backed
