@@ -30,7 +30,6 @@ from .response import (
     brute_force_response,
     classify_components,
     dynamic_worst_cut,
-    flatten,
     mceic_matrix,
     rebuilt_model,
     solve_response,
@@ -118,9 +117,8 @@ class PipelineOutcome:
 
     def csv_row(self) -> str:
         inst = self.instance
-        mceic_links = 0
-        if self.attack.partition is not None and self.attack.partition.count > 1:
-            mceic_links = flatten(self.attack.partition.count).length
+        s = 0 if self.attack.partition is None else self.attack.partition.count
+        mceic_links = s * (s - 1) // 2  # one MCEIC link per component pair
         used = 0.0 if self.plan is None else self.plan.total_cost
         res_init = "" if self.attack.score is None else self.attack.score.resilience
         res_rec = "" if self.plan is None else self.plan.resilience

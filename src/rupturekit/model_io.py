@@ -401,16 +401,15 @@ def _fmt(coef: float) -> str:
     return f"{coef:.6f}"
 
 
-def _term(coef: float, var: Optional[str]) -> str:
-    """One signed term; a constant (var None) always shows its magnitude."""
-    sign = "-" if coef < 0 else "+"
-    if var is None:
-        return f"{sign} {_fmt(abs(coef))}"
-    return f"{sign} {var}" if abs(coef) == 1 else f"{sign} {_fmt(abs(coef))} {var}"
-
-
 def _expr(terms: Sequence[tuple[float, str]], constant: float = 0.0) -> str:
-    text = " ".join([_term(c, v) for c, v in [*terms, (constant, None)] if c != 0])
+    """Signed terms joined as LP text; a unit coefficient is left out and
+    the constant always shows its magnitude."""
+    parts = [
+        f"{'+-'[c < 0]} {v}" if abs(c) == 1 else f"{'+-'[c < 0]} {abs(c):.6f} {v}"
+        for c, v in terms if c != 0]
+    if constant != 0:
+        parts.append(f"{'+-'[constant < 0]} {abs(constant):.6f}")
+    text = " ".join(parts)
     if not text:
         return "0"
     return text[2:] if text[0] == "+" else "-" + text[2:]
@@ -434,21 +433,14 @@ class _LpWriter:
 
     def render(self) -> str:
         out = [f"\\ {h}" for h in self.header]
-        out.append(self.sense)
-        out.append(f" obj: {self.obj}")
-        out.append("Subject To")
-        out.extend(self.rows)
-        if self.bounds:
-            out.append("Bounds")
-            out.extend(f" {b}" for b in self.bounds)
-        if self.binaries:
-            out.append("Binaries")
-            out.extend(f" {v}" for v in self.binaries)
-        if self.generals:
-            out.append("Generals")
-            out.extend(f" {v}" for v in self.generals)
-        out.append("End")
-        return "\n".join(out) + "\n"
+        out += [self.sense, f" obj: {self.obj}", "Subject To"]
+        out += self.rows
+        for title, names in (("Bounds", self.bounds), ("Binaries", self.binaries),
+                             ("Generals", self.generals)):
+            if names:
+                out.append(f"{title}\n " + "\n ".join(names))
+        out.append("End\n")  # the text's final newline
+        return "\n".join(out)
 
 
 def export_row_count(which: str, n: int, part: Optional[ComponentPartition] = None,
@@ -520,8 +512,12 @@ def _export_attack(inst: InstanceFile) -> str:
         "formulation: attack",
         f"attack_type: {inst.attack_type}",
     ])
-    v = [[]] + [[f"v_{i}_{c}" for c in nodes] for i in nodes]  # v[i][c - 1]
-    on_c = [[]] + [[v[i][c - 1] for i in nodes] for c in nodes]  # on_c[c][i - 1]
+    # each name is formatted once: v[i][c - 1] is v_i_c, y[i][j - 1] is
+    # y_i_j (y_i_i is never written) and on_c[c][i - 1] is v_i_c again
+    v = [[]] + [[f"v_{i}_{c}" for c in nodes] for i in nodes]
+    y = [[]] + [[f"y_{i}_{j}" for j in nodes] for i in nodes]
+    y_off = [[]] + [y[i][:i - 1] + y[i][i:] for i in nodes]  # j != i
+    on_c = [[]] + [[v[i][c - 1] for i in nodes] for c in nodes]
 
     # Rows whose coefficients are all +-1 are written as the lines _expr would
     # render, joined from the names above; only r4f, whose coefficients are
@@ -541,38 +537,40 @@ def _export_attack(inst: InstanceFile) -> str:
     # which leaves the row no term, so _expr prints 0
     scale = "" if n == 2 else f"{_fmt(n - 1.0)} "
     for i in nodes:
-        lhs = " + ".join(f"y_{i}_{j}" for j in nodes if j != i)
+        lhs = " + ".join(y_off[i])
         lhs += "".join(f" - {scale}{x}" for x in v[i]) if n > 1 else "0"
         rows.append(f" r4e_{i}: {lhs} <= 0.000000")
     budget = inst.budget_attack if inst.budget_attack is not None else 0.0
     w.row("r4f", [(-inst.attack_cost[i - 1], x) for i in nodes for x in v[i]],
           "<=", budget - sum(inst.attack_cost))
-    rows.extend(f" r4g_{i}_{j}: y_{i}_{j} - y_{j}_{i} = 0.000000"
+    rows.extend(f" r4g_{i}_{j}: {y[i][j - 1]} - {y[j][i - 1]} = 0.000000"
                 for i, j in combinations(nodes, 2))
     # The r4h, r4i and r4j rows of a pair i > j depend only on whether i and
     # j are adjacent.  Each kind's 2n + 1 lines are rendered once, with the
     # control characters \x01 and \x02, which LP text never holds, standing
-    # for i and j; every pair then appends its kind's block, filled in, as
+    # for i and j.  Per node i, each kind is filled in with i and split at
+    # j's places; every pair j < i then joins its kind's pieces with j, as
     # one multi-line entry of w.rows.
-    y = "y_\x01_\x02"
+    yij = "y_\x01_\x02"
     vi = [f"v_\x01_{c}" for c in nodes]
     vj = [f"v_\x02_{c}" for c in nodes]
-    adjacent = [f" r4h_\x01_\x02: {' + '.join(vi + vj)} - {y} <= 1.000000"]
-    apart = [f" r4h_\x01_\x02: -{y} <= 0.000000"]
+    adjacent = [f" r4h_\x01_\x02: {' + '.join(vi + vj)} - {yij} <= 1.000000"]
+    apart = [f" r4h_\x01_\x02: -{yij} <= 0.000000"]
     for c, xi, xj in zip(nodes, vi, vj):
-        adjacent.append(f" r4i_\x01_\x02_{c}: {y} + {xi} - {xj} <= 1.000000")
-        adjacent.append(f" r4j_\x01_\x02_{c}: {y} - {xi} + {xj} <= 1.000000")
-        apart.append(f" r4i_\x01_\x02_{c}: {y} <= 0.000000")
-        apart.append(f" r4j_\x01_\x02_{c}: {y} <= 0.000000")
+        adjacent.append(f" r4i_\x01_\x02_{c}: {yij} + {xi} - {xj} <= 1.000000")
+        adjacent.append(f" r4j_\x01_\x02_{c}: {yij} - {xi} + {xj} <= 1.000000")
+        apart.append(f" r4i_\x01_\x02_{c}: {yij} <= 0.000000")
+        apart.append(f" r4j_\x01_\x02_{c}: {yij} <= 0.000000")
     adjacent, apart = "\n".join(adjacent), "\n".join(apart)
-    for i in nodes:
-        blocks = (apart.replace("\x01", str(i)), adjacent.replace("\x01", str(i)))
-        for j in range(1, i):
-            rows.append(blocks[g.has_edge(i, j)].replace("\x02", str(j)))
+    labels = [str(j) for j in nodes]
+    for i, label, nbrs in zip(nodes, labels, g._adj[1:]):
+        pieces = (apart.replace("\x01", label).split("\x02"),
+                  adjacent.replace("\x01", label).split("\x02"))
+        rows.extend(j.join(pieces[nbrs >> k & 1])
+                    for k, j in enumerate(labels[:i - 1]))
 
-    for i in nodes:
-        w.binaries.extend(v[i])
-    w.binaries.extend(f"y_{i}_{j}" for i in nodes for j in nodes if i != j)
+    for names in v[1:] + y_off[1:]:
+        w.binaries += names
     w.binaries.extend(f"bA_{c}" for c in nodes)
     w.generals.append("alphaA")
     return w.render()

@@ -284,11 +284,52 @@ def _plan_from_selection(
     return ReconstructionPlan(tuple(pairs), links, total, part, rupture)
 
 
-def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
+# an MCEIC pair in Kruskal's order: (cost, pair, bitmask of its components)
+_RankedPair = tuple[float, tuple[int, int], int]
+
+
+def _ranked_pairs(m: ResponseModel) -> list[_RankedPair]:
+    """The MCEIC pairs in Kruskal's (cost, pair) order."""
+    return [
+        (c, pair, (1 << (pair[0] - 1)) | (1 << (pair[1] - 1)))
+        for c, pair in sorted(
+            (m.mceic.pair_cost(*pair), pair)
+            for pair in combinations(range(1, m.partition.count + 1), 2)
+        )
+    ]
+
+
+def _kruskal(ranked: Sequence[_RankedPair], limit: float, inside: int,
+             parent: list[int], chosen: list[tuple[int, int]],
+             total: float) -> tuple[float, bool]:
+    """Extend the union-find `parent` and the links `chosen` by Kruskal
+    over the `ranked` pairs inside the component set `inside`, until it is
+    joined or the next link would take the total past `limit`.  Returns
+    the new total and whether `inside` is joined."""
+    need = inside.bit_count() - 1
+    for c, pair, mask in ranked:
+        if need <= 0 or total + c > limit:
+            break  # costs only grow along the ranking
+        if mask & inside != mask:
+            continue
+        a, b = pair
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            total += c
+            chosen.append(pair)
+            need -= 1
+    return total, need <= 0
+
+
+def _solve_largest_group(m: ResponseModel, ranked: Sequence[_RankedPair],
+                         limit: float) -> list[tuple[int, int]]:
     """Default-path search over the group S of components that becomes the
-    largest merged component, in O(2^s * s^2), or in O(s^2 log s) when the
-    Kruskal tree over all s components fits the budget: that full merge
-    then is the plan.
+    largest merged component, in O(2^s * s^2), once the Kruskal tree over
+    all s components is known to be over budget (see :func:`solve_response`).
 
     For each S, Kruskal over the MCEIC pairs inside S in (cost, pair) order
     gives S's tree; S is skipped if the tree is over budget.  The same
@@ -317,47 +358,7 @@ def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
     transitively redundant links never enter a plan.
     """
     s = m.partition.count
-    limit = m.effective_budget + BUDGET_TOL
-    ranked = [
-        (c, pair, (1 << (pair[0] - 1)) | (1 << (pair[1] - 1)))
-        for c, pair in sorted(
-            (m.mceic.pair_cost(*pair), pair)
-            for pair in combinations(range(1, s + 1), 2)
-        )
-    ]
-
-    def kruskal(inside: int, parent: list[int], chosen: list[tuple[int, int]],
-                total: float) -> tuple[float, bool]:
-        """Extend the union-find `parent` and the links `chosen` by Kruskal
-        over the pairs inside the component set `inside`, until it is
-        joined or the next link would exceed the budget.  Returns the new
-        total and whether `inside` is joined."""
-        need = inside.bit_count() - 1
-        for c, pair, mask in ranked:
-            if need <= 0 or total + c > limit:
-                break  # costs only grow along the ranking
-            if mask & inside != mask:
-                continue
-            a, b = pair
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-                total += c
-                chosen.append(pair)
-                need -= 1
-        return total, need <= 0
-
-    # S = all components first.  Its floor r = -|X| - n_r + 1 lies below
-    # every other group's, so if its Kruskal tree fits the budget it is
-    # the plan, and the 2^s table is never built.
     full = (1 << s) - 1
-    chosen: list[tuple[int, int]] = []
-    if kruskal(full, list(range(s + 1)), chosen, 0.0)[1]:
-        return sorted(chosen)
-
     sizes = m.partition.sizes
     group_size = [0] * (full + 1)
     for group in range(1, full + 1):
@@ -374,10 +375,10 @@ def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
             continue
         parent = list(range(s + 1))   # union-find over components
         chosen = []
-        total, joined = kruskal(group, parent, chosen, 0.0)
+        total, joined = _kruskal(ranked, limit, group, parent, chosen, 0.0)
         if not joined:
             continue  # S's tree is over budget
-        total = kruskal(full ^ group, parent, chosen, total)[0]
+        total = _kruskal(ranked, limit, full ^ group, parent, chosen, total)[0]
         r = -m.cut_size - group_size[group] + (s - len(chosen))
         rounded = round(total, 9)
         if best is None or (r, rounded) <= best[:2]:
@@ -445,10 +446,23 @@ def solve_response(m: ResponseModel) -> ReconstructionPlan:
     With at most one component the plan is empty, and so it is under the
     power rule when no component has a generator: every link then joins
     two load-only components and nothing can back it.
+
+    Raises SizeLimitError past the component cap of the search that would
+    run: POWER_GROUP_MAX under the power rule, and otherwise
+    SOLVER_MAX_COMPONENTS, checked only when the full merge is over budget.
     """
     s = m.partition.count
     if s <= 1 or (m.power_constraint and HAS_GENERATOR not in m.component_class):
         return _plan_from_selection(m, [])
+    if not m.power_constraint:
+        # S = all components first.  Its floor r = -|X| - n_r + 1 lies below
+        # every other group's, so if its Kruskal tree fits the budget it is
+        # the plan, at any s, and the 2^s search is never needed.
+        ranked = _ranked_pairs(m)
+        limit = m.effective_budget + BUDGET_TOL
+        chosen: list[tuple[int, int]] = []
+        if _kruskal(ranked, limit, (1 << s) - 1, list(range(s + 1)), chosen, 0.0)[1]:
+            return _plan_from_selection(m, sorted(chosen))
     cap = POWER_GROUP_MAX if m.power_constraint else SOLVER_MAX_COMPONENTS
     if s > cap:
         raise SizeLimitError(
@@ -456,7 +470,7 @@ def solve_response(m: ResponseModel) -> ReconstructionPlan:
         )
     if m.power_constraint:
         return _plan_from_selection(m, _solve_power_partitions(m))
-    return _plan_from_selection(m, _solve_largest_group(m))
+    return _plan_from_selection(m, _solve_largest_group(m, ranked, limit))
 
 
 def brute_force_response(m: ResponseModel) -> ReconstructionPlan:

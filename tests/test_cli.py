@@ -287,7 +287,10 @@ class TestRespondErrors:
     def test_size_guard_exit_code(self, runner, tmp_path):
         path = tmp_path / "star.txt"
         path.write_text(star_text(SOLVER_MAX_COMPONENTS + 1))
-        res = runner.invoke(main, ["respond", str(path), "--cut-x", "1"])
+        # the full merge needs 16 unit-cost links, over this budget, so the
+        # solve reaches the size guard
+        res = runner.invoke(main, ["respond", str(path), "--cut-x", "1",
+                                   "--budget-response", "3"])
         assert res.exit_code == 4
 
     def test_oracle_mismatch_exit_code(self, runner, nine_node_path,
@@ -356,6 +359,19 @@ class TestSweepCommand:
         assert lines[0] == "budget,links_added,resilience,robustness"
         res_col = [line.split(",")[2] for line in lines[1:]]
         assert res_col == ["-1", "1", "8"]
+
+    def test_no_reattack_cut_reads_zero(self, runner, nine_node_path):
+        # from budget 6 the plan's four links leave the re-attack no
+        # budget-feasible cut: sweep's robustness reads 0, while pipeline
+        # leaves x_dyn_size and res_dynamic empty
+        res = runner.invoke(main, ["sweep", str(nine_node_path),
+                                   "--grid", "4.5,6,unlimited"])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1:] == [
+            "4.500000,3,6,1", "6.000000,4,8,0", "unlimited,4,8,0"]
+        res = runner.invoke(main, ["pipeline", str(nine_node_path), "--csv"])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[1] == "nine_node.txt,9,9,5.300000,10,1,-1,8,,"
 
     def test_bad_grid(self, runner, nine_node_path):
         res = runner.invoke(main, ["sweep", str(nine_node_path),

@@ -355,14 +355,23 @@ def _distributed_nine(nine_node):
                                attack_nodes=(1, 5))
 
 
+_RANDOM30 = bench.gen_random(bench.BenchConfig(
+    seed=3, n_min=30, n_max=30, edge_count=60))[0]
+
 # attack exports whose renderer takes a special case: at n = 1 r4e's only
 # coefficient is 0 and the row prints as 0, at n = 2 it is 1 and prints bare,
-# and n = 30 has both kinds of node pair at a benchmark size
+# n = 10 is the first size whose node labels reach two digits, n = 30 has
+# both kinds of node pair at a benchmark size, and its distributed variant
+# keeps every third node intact, so r20b rows hold one- and two-digit nodes
 _ATTACK_CASES = {
     "one_node": InstanceFile(1, (), (2.0,), {}, budget_attack=1.0),
     "two_node": InstanceFile(2, ((1, 2),), (1.0, 1.0), {}, budget_attack=1.0),
-    "random30": bench.gen_random(bench.BenchConfig(
-        seed=3, n_min=30, n_max=30, edge_count=60))[0],
+    "random10": bench.gen_random(bench.BenchConfig(
+        seed=1, n_min=10, n_max=10))[0],
+    "random30": _RANDOM30,
+    "distributed30": dataclasses.replace(
+        _RANDOM30, attack_type="distributed",
+        attack_nodes=tuple(v for v in range(1, 31) if v % 3)),
 }
 
 
@@ -393,6 +402,10 @@ EXPORT_DIGESTS = [
      "9edf2f20fb5af56bba849b08f59902df279253ea5ad4eb5ff5d9cde043ee4591"),
     ("random30", "attack", None, False,
      "0150443b14f90514cfee42d1c07a5b3226fecddd68306b243e99d653e104cc22"),
+    ("random10", "attack", None, False,
+     "2b52689dbf4d0fe55974ae8854b340f6575bc57e71801e6d4cfe362e483d7031"),
+    ("distributed30", "attack", None, False,
+     "613ebc3429479e9d5ce140a2cfbfefe828aef7829b0b346639bddc59bfb90078"),
 ]
 
 

@@ -179,8 +179,23 @@ class TestDegenerateAndCaps:
         assert plan.rupture == -4 + (SOLVER_MAX_COMPONENTS - 3)
 
     def test_default_cap_exceeded(self):
+        # the full merge needs 16 links of cost >= 1.0, so the budget of
+        # 3.0 sends the solve on to the size guard
         with pytest.raises(SizeLimitError):
-            solve_response(singletons_model(SOLVER_MAX_COMPONENTS + 1))
+            solve_response(singletons_model(SOLVER_MAX_COMPONENTS + 1, budget=3.0))
+
+    @pytest.mark.parametrize("budget", [None, 16.0])
+    def test_full_merge_is_solved_past_the_cap(self, budget):
+        # the full merge is tried before the size guard: every link with
+        # i * j a multiple of 7 costs 1.0, and Kruskal joins all 17
+        # components with 16 of them through component 7, at exactly 16.0
+        s = SOLVER_MAX_COMPONENTS + 1
+        plan = solve_response(singletons_model(s, budget=budget))
+        assert plan.selected == ((1, 7), (1, 14), *((i, 7) for i in range(2, 7)),
+                                 *((7, i) for i in range(8, 18) if i != 14))
+        assert plan.total_cost == 16.0
+        assert plan.merged_partition.count == 1
+        assert plan.rupture == -s + 1
 
     def test_power_cap_exceeded(self):
         s = 13
