@@ -6,16 +6,20 @@ matter, so the search runs over the MCEIC pairs ``(m, n)``, ``m < n``.
 Every plan is a forest over the components, and ties break by the lowest
 total cost, then by the smallest sorted pair tuple.  The solver
 enumerates the group ``S`` of components that becomes the largest merged
-component (2^s subsets): ``S`` is joined by its Kruskal tree and the rest of
-the budget buys a Kruskal prefix over the other components.  That is exact,
-down to the tie-break, by the greedy property of the spanning-forest matroid
-(Kruskal 1956; Edmonds 1971); see :func:`_solve_largest_group`.  Under the
-power rule a forest is still enough (see :func:`_solve_power_partitions`),
-but the feasible forests are no longer a matroid: a lone load-load link is
-infeasible, yet feasible once its backing link is added.  So that path
-enumerates set partitions of the components and each group's spanning
-trees.  The independent oracle in :func:`brute_force_response` enumerates
-raw link subsets instead.
+component: ``S`` is joined by its Kruskal tree and the rest of the budget
+buys a Kruskal prefix over the other components.  That is exact, down to
+the tie-break, by the greedy property of the spanning-forest matroid
+(Kruskal 1956; Edmonds 1971), which also bounds the search: with k the
+longest affordable Kruskal prefix over all pairs, no plan buys more than k
+links, so only groups of at most k + 1 components are enumerated, and a
+solve that would price more than ``SOLVER_MAX_GROUPS`` groups is refused
+before it starts the level that would pass the cap; see
+:func:`_solve_largest_group`.  Under the power rule a forest is still
+enough (see :func:`_solve_power_partitions`), but the feasible forests are
+no longer a matroid: a lone load-load link is infeasible, yet feasible once
+its backing link is added.  So that path enumerates set partitions of the
+components and each group's spanning trees.  The independent oracle in
+:func:`brute_force_response` enumerates raw link subsets instead.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from .graph import ComponentPartition, Graph, rupture_score
 LOAD_ONLY = "load-only"
 HAS_GENERATOR = "has-generator"
 
-# One default-path solve at s=16 takes under 1.5 s on a 2-core Xeon with
-# Python 3.11: evaluating all 2^16 groups took at most 1.3 s over a grid of
-# budgets, and the incumbent bound cut the worst case seen to 0.4 s.
-SOLVER_MAX_COMPONENTS = 16
+# Groups one default-path solve may price: every group at s=16.  Pricing
+# all 2^16 of them took at most 1.3 s on a 2-core Xeon with Python 3.11
+# over a grid of budgets.
+SOLVER_MAX_GROUPS = 2 ** 16
 ORACLE_MAX_LINKS = 21   # covers up to 7 components
 # Components the power path takes when some component has a generator.  It
 # enumerates Bell(s) set partitions, the first being the one group of all s
@@ -284,19 +288,9 @@ def _plan_from_selection(
     return ReconstructionPlan(tuple(pairs), links, total, part, rupture)
 
 
-# an MCEIC pair in Kruskal's order: (cost, pair, bitmask of its components)
+# an MCEIC pair as Kruskal ranks it, by (cost, pair), with the bitmask of
+# its two components
 _RankedPair = tuple[float, tuple[int, int], int]
-
-
-def _ranked_pairs(m: ResponseModel) -> list[_RankedPair]:
-    """The MCEIC pairs in Kruskal's (cost, pair) order."""
-    return [
-        (c, pair, (1 << (pair[0] - 1)) | (1 << (pair[1] - 1)))
-        for c, pair in sorted(
-            (m.mceic.pair_cost(*pair), pair)
-            for pair in combinations(range(1, m.partition.count + 1), 2)
-        )
-    ]
 
 
 def _kruskal(ranked: Sequence[_RankedPair], limit: float, inside: int,
@@ -325,11 +319,17 @@ def _kruskal(ranked: Sequence[_RankedPair], limit: float, inside: int,
     return total, need <= 0
 
 
-def _solve_largest_group(m: ResponseModel, ranked: Sequence[_RankedPair],
-                         limit: float) -> list[tuple[int, int]]:
+def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
     """Default-path search over the group S of components that becomes the
-    largest merged component, in O(2^s * s^2), once the Kruskal tree over
-    all s components is known to be over budget (see :func:`solve_response`).
+    largest merged component.
+
+    Let k be the length of the longest Kruskal prefix over all MCEIC pairs
+    that fits the budget.  A prefix of length t is a cheapest t-link forest
+    (matroid greedy property), so no plan buys more than k links and
+    |S| <= k + 1.  The groups are enumerated level by level, from k + 1
+    components down, and the search stops at the first level whose largest
+    groups cannot reach the incumbent.  When the prefix joins every
+    component, the top level is the one group of all s, which is the plan.
 
     For each S, Kruskal over the MCEIC pairs inside S in (cost, pair) order
     gives S's tree; S is skipped if the tree is over budget.  The same
@@ -356,37 +356,55 @@ def _solve_largest_group(m: ResponseModel, ranked: Sequence[_RankedPair],
 
     Each forest component is the Kruskal tree of its own components, so
     transitively redundant links never enter a plan.
+
+    Raises SizeLimitError before pricing a level that would take the
+    groups priced past SOLVER_MAX_GROUPS.
     """
     s = m.partition.count
     full = (1 << s) - 1
-    sizes = m.partition.sizes
-    group_size = [0] * (full + 1)
-    for group in range(1, full + 1):
-        low = group & -group
-        group_size[group] = group_size[group ^ low] + sizes[low.bit_length() - 1]
-
-    best: Optional[tuple[int, float, tuple[tuple[int, int], ...]]] = None
-    # larger groups first: they set a low incumbent that prunes the rest;
-    # the full group's tree is over budget
-    for group in range(full - 1, 0, -1):
-        # merging all of S and all of R is the most any evaluation can do
-        floor = -m.cut_size - group_size[group] + 2
-        if best is not None and floor > best[0]:
-            continue
-        parent = list(range(s + 1))   # union-find over components
-        chosen = []
-        total, joined = _kruskal(ranked, limit, group, parent, chosen, 0.0)
-        if not joined:
-            continue  # S's tree is over budget
-        total = _kruskal(ranked, limit, full ^ group, parent, chosen, total)[0]
-        r = -m.cut_size - group_size[group] + (s - len(chosen))
-        rounded = round(total, 9)
-        if best is None or (r, rounded) <= best[:2]:
-            key = (r, rounded, tuple(sorted(chosen)))
-            if best is None or key < best:
-                best = key
-    # a one-component S needs no tree, so some group always scores
-    assert best is not None
+    ranked: list[_RankedPair] = [
+        (c, pair, (1 << (pair[0] - 1)) | (1 << (pair[1] - 1)))
+        for c, pair in sorted((m.mceic.pair_cost(*pair), pair)
+                              for pair in combinations(range(1, s + 1), 2))
+    ]
+    limit = m.effective_budget + BUDGET_TOL
+    prefix: list[tuple[int, int]] = []
+    _kruskal(ranked, limit, full, list(range(s + 1)), prefix, 0.0)
+    # component c as size << s | 1 << c, largest first: one sum over a
+    # group gives both its size and its bitmask
+    items = sorted((size << s | 1 << c
+                    for c, size in enumerate(m.partition.sizes)), reverse=True)
+    # a one-component S needs no tree, so some group replaces this
+    best: tuple[float, float, tuple[tuple[int, int], ...]] = (math.inf, 0.0, ())
+    # merging all of S and all of R is the most any evaluation can do, so a
+    # group smaller than `least` cannot reach the incumbent
+    least = 0
+    priced = 0
+    for j in range(len(prefix) + 1, 0, -1):
+        if sum(items[:j]) >> s < least:
+            break  # nor can any group of this level or below
+        priced += math.comb(s, j)
+        if priced > SOLVER_MAX_GROUPS:
+            raise SizeLimitError(f"{priced} response groups exceed the "
+                                 f"solver cap {SOLVER_MAX_GROUPS}")
+        for packed in map(sum, combinations(items, j)):
+            size = packed >> s
+            if size < least:
+                continue
+            group = packed & full
+            parent = list(range(s + 1))   # union-find over components
+            chosen = []
+            total, joined = _kruskal(ranked, limit, group, parent, chosen, 0.0)
+            if not joined:
+                continue  # S's tree is over budget
+            total = _kruskal(ranked, limit, full ^ group, parent, chosen, total)[0]
+            r = -m.cut_size - size + (s - len(chosen))
+            rounded = round(total, 9)
+            if (r, rounded) <= best[:2]:
+                key = (r, rounded, tuple(sorted(chosen)))
+                if key < best:
+                    best = key
+                    least = 2 - m.cut_size - r
     return list(best[2])
 
 
@@ -447,30 +465,20 @@ def solve_response(m: ResponseModel) -> ReconstructionPlan:
     power rule when no component has a generator: every link then joins
     two load-only components and nothing can back it.
 
-    Raises SizeLimitError past the component cap of the search that would
-    run: POWER_GROUP_MAX under the power rule, and otherwise
-    SOLVER_MAX_COMPONENTS, checked only when the full merge is over budget.
+    Raises SizeLimitError past the cap of the search that would run:
+    POWER_GROUP_MAX components under the power rule, and otherwise
+    SOLVER_MAX_GROUPS groups priced (see :func:`_solve_largest_group`).
     """
     s = m.partition.count
     if s <= 1 or (m.power_constraint and HAS_GENERATOR not in m.component_class):
         return _plan_from_selection(m, [])
     if not m.power_constraint:
-        # S = all components first.  Its floor r = -|X| - n_r + 1 lies below
-        # every other group's, so if its Kruskal tree fits the budget it is
-        # the plan, at any s, and the 2^s search is never needed.
-        ranked = _ranked_pairs(m)
-        limit = m.effective_budget + BUDGET_TOL
-        chosen: list[tuple[int, int]] = []
-        if _kruskal(ranked, limit, (1 << s) - 1, list(range(s + 1)), chosen, 0.0)[1]:
-            return _plan_from_selection(m, sorted(chosen))
-    cap = POWER_GROUP_MAX if m.power_constraint else SOLVER_MAX_COMPONENTS
-    if s > cap:
+        return _plan_from_selection(m, _solve_largest_group(m))
+    if s > POWER_GROUP_MAX:
         raise SizeLimitError(
-            f"{s} components exceed the response solver cap {cap}"
+            f"{s} components exceed the response solver cap {POWER_GROUP_MAX}"
         )
-    if m.power_constraint:
-        return _plan_from_selection(m, _solve_power_partitions(m))
-    return _plan_from_selection(m, _solve_largest_group(m, ranked, limit))
+    return _plan_from_selection(m, _solve_power_partitions(m))
 
 
 def brute_force_response(m: ResponseModel) -> ReconstructionPlan:

@@ -4,7 +4,7 @@ Each entry holds one seeded instance and the exact answers of the three
 stages: the stage-one status, cut and rupture; the response's selected
 component pairs, realized links, total cost and rupture; and the re-attack
 on the rebuilt network.  Search counters are left out, since a faster
-search may change them.  Instances reach n=30 and s=16 components, beyond
+search may change them.  Instances reach n=30 and s=24 components, beyond
 the brute-force oracles, with restricted attackable sets, zero, fractional
 and large attack costs, tie-heavy link costs, and finite and unlimited
 response budgets.
@@ -13,8 +13,10 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_answer_corpus.py
 
-It rewrites tests/data/answer_corpus.json.  Regenerating the corpus is an
-answer change: say which entries moved and why.
+It prints the name of each entry whose answers differ from the committed
+tests/data/answer_corpus.json, or that the file lacks, then rewrites it.
+Regenerating the corpus is an answer change: say which entries moved and
+why.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import combinations
 from pathlib import Path
 
 from rupturekit.attack import AttackModel, solve_attack
-from rupturekit.bench import BenchConfig, gen_random
+from rupturekit.bench import LINK_COST_CHOICES, BenchConfig, gen_random
 from rupturekit.errors import SizeLimitError
 from rupturekit.graph import Graph
 from rupturekit.response import (
@@ -49,12 +51,16 @@ COST_PALETTES = {
 # link cost palettes; None keeps gen_random's 1.0..3.0 draw
 LINK_PALETTES = (None, None, (1.0, 2.0), (0.0, 1.0), (1.0, 1.1, 1.2))
 RESPONSE_BUDGETS = (None, None, 0.0, 1.0, 2.5, 4.0, 7.3)
-# (shape, n range, edge count as a function of n, removals afforded)
+# (shape, n range, edge count as a function of n, removals afforded); a
+# "spider" replaces gen_random's tree by a path of n // 5 hubs with every
+# other node hung on a random hub, so cutting every hub leaves
+# s = n - n // 5 components, 18 to 24
 SHAPES = (
     ("tree", (12, 30), lambda n: n - 1, lambda n: n // 3),
     ("sparse", (8, 30), None, lambda n: 4),
     ("sparse", (8, 24), None, lambda n: n // 2),
     ("dense", (14, 30), lambda n: 3 * n, lambda n: 4),
+    ("spider", (22, 30), lambda n: n - 1, lambda n: n // 4),
 )
 PER_SHAPE = 40
 
@@ -87,15 +93,22 @@ def instances():
                 attackable = sorted(rng.sample(range(1, n + 1), 2 * n // 3))
             link_palette = LINK_PALETTES[i % len(LINK_PALETTES)]
             edges = set(inst.edges)
+            if shape == "spider":
+                hubs = n // 5
+                edges = {(h, h + 1) for h in range(1, hubs)} | {
+                    (rng.randint(1, hubs), v) for v in range(hubs + 1, n + 1)}
+            # a spider's non-edges include gen_random's tree edges, which
+            # have no cost there
             link_cost = [
-                inst.link_cost[p] if link_palette is None
-                else rng.choice(link_palette)
+                inst.link_cost[p]
+                if link_palette is None and p in inst.link_cost
+                else rng.choice(link_palette or LINK_COST_CHOICES)
                 for p in combinations(range(1, n + 1), 2) if p not in edges
             ]
             out.append({
                 "name": f"{len(out):03d}-{shape}-{palette_name}",
                 "n": n,
-                "edges": [list(e) for e in inst.edges],
+                "edges": [list(e) for e in sorted(edges)],
                 "attack_cost": costs,
                 "link_cost": link_cost,
                 "attack_budget": budget,
@@ -152,9 +165,15 @@ def answers(entry) -> dict:
 
 
 def main() -> None:
+    committed = ({e["name"]: e["answers"] for e in json.loads(OUT.read_text())}
+                 if OUT.exists() else {})
     lines = []
     for entry in instances():
         entry["answers"] = answers(entry)
+        if entry["name"] not in committed:
+            print(f"new: {entry['name']}", file=sys.stderr)
+        elif committed[entry["name"]] != entry["answers"]:
+            print(f"moved: {entry['name']}", file=sys.stderr)
         lines.append(json.dumps(entry, separators=(",", ":")))
     OUT.write_text("[\n" + ",\n".join(lines) + "\n]\n")
     print(f"wrote {len(lines)} entries to {OUT}", file=sys.stderr)

@@ -23,10 +23,10 @@ ENTRIES = json.loads((DATA / "answer_corpus.json").read_text())
 
 def test_corpus_covers_its_shapes():
     answers = [e["answers"] for e in ENTRIES]
-    assert len(ENTRIES) == 160
+    assert len(ENTRIES) == 200
     assert max(e["n"] for e in ENTRIES) == 30
     sizes = {a.get("components") for a in answers}
-    assert set(range(8, 17)) <= sizes
+    assert set(range(8, 25)) <= sizes
     assert any(a.get("response", {}).get("error") for a in answers)
     assert any(a["attack"]["status"] == "infeasible" for a in answers)
     assert any(e["attackable"] for e in ENTRIES)

@@ -15,7 +15,6 @@ from rupturekit.model_io import (
     emit_instance,
     export_mip,
 )
-from rupturekit.response import SOLVER_MAX_COMPONENTS
 
 
 @pytest.fixture
@@ -286,11 +285,11 @@ class TestStageWiring:
 class TestRespondErrors:
     def test_size_guard_exit_code(self, runner, tmp_path):
         path = tmp_path / "star.txt"
-        path.write_text(star_text(SOLVER_MAX_COMPONENTS + 1))
-        # the full merge needs 16 unit-cost links, over this budget, so the
-        # solve reaches the size guard
+        path.write_text(star_text(20))
+        # a budget of 8 buys 8 unit-cost links, so groups of up to 9 of the
+        # 20 leaves would be priced, past the group cap
         res = runner.invoke(main, ["respond", str(path), "--cut-x", "1",
-                                   "--budget-response", "3"])
+                                   "--budget-response", "8"])
         assert res.exit_code == 4
 
     def test_oracle_mismatch_exit_code(self, runner, nine_node_path,

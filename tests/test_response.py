@@ -16,7 +16,8 @@ from rupturekit.response import (
     HAS_GENERATOR,
     LOAD_ONLY,
     POWER_GROUP_MAX,
-    SOLVER_MAX_COMPONENTS,
+    SOLVER_MAX_GROUPS,
+    MceicMatrix,
     ResponseModel,
     brute_force_response,
     classify_components,
@@ -173,23 +174,32 @@ class TestDegenerateAndCaps:
     def test_default_cap_is_solved(self):
         # the only cost-1.0 links touch component 7 or 14; three of them
         # join four components, the most a budget of 3.0 can buy
-        plan = solve_response(singletons_model(SOLVER_MAX_COMPONENTS, budget=3.0))
+        plan = solve_response(singletons_model(16, budget=3.0))
         assert plan.selected == ((1, 7), (1, 14), (2, 7))
         assert plan.total_cost == 3.0
-        assert plan.rupture == -4 + (SOLVER_MAX_COMPONENTS - 3)
+        assert plan.rupture == -4 + (16 - 3)
+
+    def test_small_budget_is_solved_past_sixteen(self):
+        # a budget of 3.0 buys at most 3 links, so no group holds more
+        # than 4 of the 17 components
+        plan = solve_response(singletons_model(17, budget=3.0))
+        assert plan.selected == ((1, 7), (1, 14), (2, 7))
+        assert plan.total_cost == 3.0
+        assert plan.rupture == 10
 
     def test_default_cap_exceeded(self):
-        # the full merge needs 16 links of cost >= 1.0, so the budget of
-        # 3.0 sends the solve on to the size guard
-        with pytest.raises(SizeLimitError):
-            solve_response(singletons_model(SOLVER_MAX_COMPONENTS + 1, budget=3.0))
+        # a budget of 8.0 buys 8 cost-1.0 links, so groups of up to 9 of
+        # the 20 components would be priced: C(20, 9) = 167,960 at the top
+        # level alone
+        with pytest.raises(SizeLimitError, match=f"{SOLVER_MAX_GROUPS}"):
+            solve_response(singletons_model(20, budget=8.0))
 
     @pytest.mark.parametrize("budget", [None, 16.0])
     def test_full_merge_is_solved_past_the_cap(self, budget):
-        # the full merge is tried before the size guard: every link with
-        # i * j a multiple of 7 costs 1.0, and Kruskal joins all 17
-        # components with 16 of them through component 7, at exactly 16.0
-        s = SOLVER_MAX_COMPONENTS + 1
+        # every link with i * j a multiple of 7 costs 1.0, and Kruskal
+        # joins all 17 components with 16 of them through component 7, at
+        # exactly 16.0
+        s = 17
         plan = solve_response(singletons_model(s, budget=budget))
         assert plan.selected == ((1, 7), (1, 14), *((i, 7) for i in range(2, 7)),
                                  *((7, i) for i in range(8, 18) if i != 14))
@@ -326,6 +336,101 @@ class TestFullMerge:
             if tree + offset >= 0:
                 plan = same_plan(replace(m, budget=tree + offset))
                 assert (plan.merged_partition.count == 1) == (offset >= 0)
+
+
+def priced_groups(monkeypatch):
+    """Record the component mask of every group the default search prices.
+    Each pricing starts a Kruskal run on a new union-find; so does the
+    solve's first run, the prefix over all components."""
+    runs = []
+    last = [None]
+    kruskal = response._kruskal
+
+    def counted(ranked, limit, inside, parent, chosen, total):
+        if parent is not last[0]:
+            last[0] = parent
+            runs.append(inside)
+        return kruskal(ranked, limit, inside, parent, chosen, total)
+
+    monkeypatch.setattr(response, "_kruskal", counted)
+    return runs
+
+
+class TestBudgetLimitedGroups:
+    # positive tied costs, so a budget equal to the first k costs of the
+    # Kruskal tree, summed in its order, buys exactly k links
+    PALETTES = ((1.0, 2.0), (1.0, 1.1, 1.2), (0.1, 0.2, 0.3), (0.3, 0.7, 2.0))
+
+    @pytest.mark.parametrize("s", range(2, 8))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_plan_near_the_prefix_lengths(self, s, seed):
+        rng = random.Random(100 * s + seed)
+        edges, start = [], 1
+        for _ in range(s):
+            length = rng.randint(1, 3)
+            edges += [(v, v + 1) for v in range(start, start + length - 1)]
+            start += length
+        palette = self.PALETTES[(s + seed) % len(self.PALETTES)]
+        edge_set = set(edges)
+        g = Graph(start - 1, edges, link_cost={
+            p: rng.choice(palette)
+            for p in combinations(range(1, start), 2) if p not in edge_set})
+        part = components(g, [])
+        m = ResponseModel(part, mceic_matrix(g, part), None, rng.randint(0, 3))
+        tree = solve_response(m)
+        costs = sorted(m.mceic.pair_cost(*p) for p in tree.selected)
+        # budget -> the most links it buys
+        most = {tree.total_cost: s - 1, tree.total_cost - 0.01: s - 2}
+        for k in range(min(2, s - 1) + 1):
+            budget = 0.0
+            for c in costs[:k]:
+                budget += c
+            most[budget] = k
+        for budget, links in most.items():
+            plan = same_plan(replace(m, budget=budget))
+            assert len(plan.selected) <= links
+
+    def test_level_that_ties_the_incumbent_is_priced(self):
+        # components of sizes 3, 3, 1, 2 and a budget of 1.5, which buys
+        # (3,4) then (2,3).  The top level's {2,3,4} scores r = -6 + 2 with
+        # ((2,3),(3,4)); the next level's largest groups, {1,2}, reach the
+        # same r with ((1,2),(3,4)), the smaller pair tuple
+        g = Graph(9, [(1, 2), (2, 3), (4, 5), (5, 6), (8, 9)])
+        part = components(g, [])
+        assert part.sizes == (3, 3, 1, 2)
+        cost = {(1, 2): 1.0, (1, 3): 5.0, (1, 4): 5.0, (2, 3): 1.0,
+                (2, 4): 5.0, (3, 4): 0.5}
+        mc = MceicMatrix(
+            4, cost, {(a, b): (part.components[a - 1][0],
+                               part.components[b - 1][0]) for a, b in cost})
+        plan = same_plan(ResponseModel(part, mc, 1.5, 0))
+        assert plan.selected == ((1, 2), (3, 4))
+        assert plan.rupture == -4
+
+    def test_groups_priced_are_budget_limited(self, monkeypatch):
+        # a budget of 3.0 buys 3 links, so no group holds more than 4
+        runs = priced_groups(monkeypatch)
+        solve_response(singletons_model(16, budget=3.0))
+        groups = runs[1:]
+        assert 0 < len(groups) <= sum(math.comb(16, j) for j in range(1, 5))
+        assert max(g.bit_count() for g in groups) == 4
+
+    def test_full_merge_prices_one_group(self, monkeypatch):
+        runs = priced_groups(monkeypatch)
+        plan = solve_response(singletons_model(17, budget=16.0))
+        assert plan.merged_partition.count == 1
+        assert runs[1:] == [(1 << 17) - 1]
+
+    def test_refused_level_is_never_priced(self, monkeypatch):
+        # a budget of 6.0 buys 6 links: the C(19, 7) = 50,388 groups of 7
+        # fit the cap and are all priced, since every level can still win,
+        # but the 27,132 groups of 6 would pass it
+        runs = priced_groups(monkeypatch)
+        with pytest.raises(SizeLimitError, match="77520"):
+            solve_response(singletons_model(19, budget=6.0))
+        groups = runs[1:]
+        assert len(groups) == math.comb(19, 7) <= SOLVER_MAX_GROUPS
+        assert {g.bit_count() for g in groups} == {7}
 
 
 class TestPowerConstraint:
