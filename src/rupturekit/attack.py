@@ -244,12 +244,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
     from rows built once before the search (the nodes with at least k
     neighbours among order[idx:], for each k up to t0 + 1), so the term
     costs at most one AND and one popcount per node.  When the least cost
-    is zero, t0 is unbounded and the term is left out.  By pigeonhole the
-    largest component holds at least ceil((n - f) / W) of the n - f nodes
-    not yet removed; removing more nodes lowers that floor by at most as
-    many, so this term assumes no further removal.  It is computed only at
-    nodes that survive the cheaper m(K) bound and only when it is the
-    larger one.
+    is zero, t0 is unbounded and the term is left out.
     The remove branch recurses and the keep branch loops, so the recursion
     depth is the number of removals plus one.
 
@@ -273,8 +268,9 @@ def solve_attack(model: AttackModel) -> AttackResult:
     other node leaves C and D(C) as they are.  So the search carries the
     running maximum g_lo as one integer, taken over the intact and
     simplicial components at the root and then over each component the
-    keep branch merges, and the bound reads
-    r <= W - max(f + max(1, m(K)), g_lo) besides the pigeonhole term.
+    keep branch merges.  The bound combines three terms, the largest kept
+    component m(K), the frontier term g_lo and the budget-aware count H in
+    W, and reads r <= W - max(f + max(1, m(K)), g_lo).
 
     Simplicial nodes, whose neighbours are pairwise adjacent (every
     degree-1 node is one), are never branched on: attackable ones are kept
@@ -298,7 +294,6 @@ def solve_attack(model: AttackModel) -> AttackResult:
     order = sorted(model.attackable - fixed, key=lambda v: (-g.degree(v), v))
     cost = g.attack_cost
     limit = model.budget + BUDGET_TOL
-    n = g.n
     # per branch index: the node's bit, attack cost and neighbour mask
     n_order = len(order)
     bits = [1 << (v - 1) for v in order]
@@ -310,19 +305,14 @@ def solve_attack(model: AttackModel) -> AttackResult:
         undecided[idx] = undecided[idx + 1] | bits[idx]
     # many_nbrs[f][idx]: the nodes with more than t = t0 - f neighbours
     # among order[idx:], which no completion leaves as a singleton
-    # component.  A row only shrinks as idx grows, so it is nonzero on a
-    # prefix, idx < many_end[f]; many_end[f] is 0 where no node has that
-    # many neighbours.
+    # component; a shared zero row where no node has that many, or where
+    # the least cost is zero
     t0 = _max_removals(costs, limit)
-    many_nbrs: list[list[int]] = [[]] * (n_order + 1)
-    many_end = [0] * (n_order + 1)
+    many_nbrs = [[0] * (n_order + 1)] * (n_order + 1)
     if t0 is not None:
         rows = _neighbour_rows(adjs, t0 + 1)
-        for f in range(t0 + 1):
-            if t0 + 1 - f < len(rows):
-                row = rows[t0 + 1 - f]
-                many_nbrs[f] = row
-                many_end[f] = n_order + 1 - row.count(0)
+        for k in range(1, len(rows)):
+            many_nbrs[t0 + 1 - k] = rows[k]
 
     # best = (rupture, |X|, sorted node tuple)
     best: list[Optional[tuple[int, int, tuple[int, ...]]]] = [
@@ -348,9 +338,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
         # is never mutated, since the remove branch shares it.
         first_idx = idx
         f = removed_mask.bit_count()
-        alive = n - f
         many = many_nbrs[f]
-        many_to = many_end[f]
         while True:
             b = best[0]
             if b is not None:
@@ -367,32 +355,19 @@ def solve_attack(model: AttackModel) -> AttackResult:
                 # most t' <= t undecided neighbours, that is lies outside
                 # many[idx].  At most comp(K) components hold a node of K.
                 # Hence omega <= W = comp(K) + |U \ H| + floor(|H| / 2) with
-                # H = U & many[idx], and the n - f - t' survivors fill at
-                # most W components, so by pigeonhole
-                # m >= ceil((n-f-t') / W).  Then
-                #   r <= W - max(f + t' + max(1, m(K)), g_lo,
-                #                f + t' + ceil((n-f-t') / W))
-                #     <= W - max(f + max(1, m(K)), g_lo, f + ceil((n-f) / W)),
-                # since ceil((n-f) / W) <= ceil((n-f-t') / W) + t'.
+                # H = U & many[idx], and
+                #   r <= W - max(f + t' + max(1, m(K)), g_lo)
+                #     <= W - max(f + max(1, m(K)), g_lo).
                 u = undecided[idx] & ~nbr_k
-                w = len(comps) + u.bit_count()
-                if idx < many_to:
-                    # |U \ H| + floor(|H| / 2) == |U| - ceil(|H| / 2)
-                    w -= ((u & many[idx]).bit_count() + 1) >> 1
-                m_lo = m_k if m_k > 1 else 1
-                lo = f + m_lo
+                # |U \ H| + floor(|H| / 2) == |U| - ceil(|H| / 2)
+                w = (len(comps) + u.bit_count()
+                     - (((u & many[idx]).bit_count() + 1) >> 1))
+                lo = f + (m_k if m_k > 1 else 1)
                 bound = w - (lo if lo > g_lo else g_lo)
                 # equal-bound subtrees with f > |best X| cannot improve the
                 # cardinality-then-lex tie-break
                 if bound < b[0] or (bound == b[0] and f > b[1]):
                     break
-                if alive > m_lo * w:
-                    if not w:
-                        break  # no completion leaves a survivor
-                    # -ceil(alive / w) == -alive // w
-                    bound = w - f + -alive // w
-                    if bound < b[0] or (bound == b[0] and f > b[1]):
-                        break
             if idx == n_order:
                 leaf(removed_mask, comps, m_k)
                 break

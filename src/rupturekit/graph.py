@@ -156,13 +156,6 @@ class ComponentPartition:
     def count(self) -> int:
         return len(self.components)
 
-    def component_of(self, v: int) -> int:
-        """1-based index of the component containing node v."""
-        for k, comp in enumerate(self.components, start=1):
-            if v in comp:
-                return k
-        raise KeyError(f"node {v} not in any component")
-
 
 @dataclass(frozen=True)
 class CutSet:

@@ -140,8 +140,8 @@ class TestAgainstOracleRandom:
             assert_matches_oracle(g, float(rng.randint(2, 4)), attackable)
 
     def test_dense_graphs(self):
-        # 3n edges and budgets 1-4 leave few large components, where the
-        # pigeonhole term on the largest component prunes
+        # 3n edges and budgets 1-4, the attack benchmark's shape, leave few
+        # and large surviving components
         rng = random.Random(31)
         for i in range(40):
             n = rng.randint(12, 16)
@@ -158,9 +158,9 @@ class TestAgainstOracleRandom:
             assert_matches_oracle(g, float(rng.randint(1, 4)), attackable)
 
     def test_pigeonhole_term_is_exact(self):
-        # cuts of 5 and 6 nodes tie at rupture -4; a pigeonhole term larger
-        # by one when W divides n - f prunes the 5-node cut, which the
-        # cardinality tie-break picks
+        # a tie-break case: the 5-node cut {2, 6, 7, 8, 9} and a 6-node cut
+        # both reach rupture -4, and the cardinality tie-break must pick
+        # the 5-node cut, so no bound may prune the subtree that holds it
         edges = [(1, 2), (1, 7), (1, 9), (1, 10), (2, 3), (2, 6), (2, 7),
                  (2, 10), (3, 4), (3, 6), (5, 6), (5, 7), (5, 8), (5, 9),
                  (5, 11), (6, 10), (7, 8), (7, 9), (7, 11), (8, 10),
@@ -324,12 +324,12 @@ class TestSearchCounter:
         # pigeonhole term on the largest component, 3,485 before the
         # frontier term on kept components, 2,739 before the budget-aware
         # count of new components, 2,738 before the search started from
-        # the neighbourhood-cut incumbent.  A looser bound or a worse
-        # initial incumbent raises this count.
+        # the neighbourhood-cut incumbent, 2,707 with the pigeonhole term.
+        # A looser bound or a worse initial incumbent raises this count.
         inst = gen_random(BenchConfig(seed=7, count=1, n_min=20, n_max=20))[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 7, 11, 16, 17, 19})
-        assert res.stats.nodes_explored == 2707
+        assert res.stats.nodes_explored == 2775
 
     def test_dense_budget_four_pinned(self):
         # 3n edges at budget 4, the attack benchmark's shape: 58,882 nodes
@@ -455,8 +455,8 @@ def attack_models(draw):
         edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
         others = [p for p in combinations(range(1, n + 1), 2) if p not in edges]
         if shape == "dense":
-            # 3n edges as in the attack benchmark, where the pigeonhole
-            # term on the largest component prunes
+            # 3n edges as in the attack benchmark, which leave few and large
+            # surviving components
             edges += draw(st.permutations(others))[:2 * n + 1]
         elif others:
             edges += draw(st.lists(st.sampled_from(others), max_size=n,

@@ -90,11 +90,6 @@ class TestComponents:
         assert p.sizes == (2, 2)
         assert p.count == 2
 
-    def test_component_of(self):
-        p = components(path_graph(5), [3])
-        assert p.component_of(4) == 2
-        assert p.component_of(1) == 1
-
     def test_isolated_vertices(self):
         g = Graph(3, [])
         p = components(g)

@@ -390,6 +390,21 @@ class TestBudgetLimitedGroups:
             plan = same_plan(replace(m, budget=budget))
             assert len(plan.selected) <= links
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(response_models(), st.data())
+    def test_same_plan_at_prefix_budgets(self, m, data):
+        # budgets at the first k sorted costs of the unlimited plan, summed
+        # as floats, then moved within and past the budget tolerance
+        k = data.draw(st.integers(0, m.partition.count - 1))
+        offset = data.draw(st.sampled_from(TestFullMerge.OFFSETS))
+        tree = solve_response(replace(m, budget=None))
+        budget = 0.0
+        for c in sorted(m.mceic.pair_cost(*p) for p in tree.selected)[:k]:
+            budget += c
+        budget += offset
+        assume(budget >= 0)
+        same_plan(replace(m, budget=budget))
+
     def test_level_that_ties_the_incumbent_is_priced(self):
         # components of sizes 3, 3, 1, 2 and a budget of 1.5, which buys
         # (3,4) then (2,3).  The top level's {2,3,4} scores r = -6 + 2 with
