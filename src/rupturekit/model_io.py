@@ -360,7 +360,6 @@ def result_to_dict(
     attack: Optional[AttackResult] = None,
     plan: Optional[ReconstructionPlan] = None,
     dynamic: Optional[AttackResult] = None,
-    cut_audit: Optional[Sequence[dict]] = None,
     notes: Optional[Sequence[str]] = None,
 ) -> dict:
     def attack_dict(res: Optional[AttackResult]) -> Optional[dict]:
@@ -384,7 +383,7 @@ def result_to_dict(
         "attack": attack_dict(attack),
         "response": plan.to_dict() if plan is not None else None,
         "dynamic_worst": attack_dict(dynamic),
-        "cut_audit": list(cut_audit) if cut_audit else [],
+        "cut_audit": [],
         "notes": list(notes) if notes else [],
     }
 

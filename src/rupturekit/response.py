@@ -15,11 +15,11 @@ links, so only groups of at most k + 1 components are enumerated, and a
 solve that would price more than ``SOLVER_MAX_GROUPS`` groups is refused
 before it starts the level that would pass the cap; see
 :func:`_solve_largest_group`.  Under the power rule a forest is still
-enough (see :func:`_solve_power_partitions`), but the feasible forests are
-no longer a matroid: a lone load-load link is infeasible, yet feasible once
-its backing link is added.  So that path enumerates set partitions of the
-components and each group's spanning trees.  The independent oracle in
-:func:`brute_force_response` enumerates raw link subsets instead.
+enough, but the feasible forests are no longer a matroid: a lone load-load
+link is infeasible, yet feasible once its backing link is added.  So that
+rule is solved by :func:`brute_force_response`, which enumerates the
+budget-feasible forests themselves and is also the default rule's
+independent oracle.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ HAS_GENERATOR = "has-generator"
 # all 2^16 of them took at most 1.3 s on a 2-core Xeon with Python 3.11
 # over a grid of budgets.
 SOLVER_MAX_GROUPS = 2 ** 16
-ORACLE_MAX_LINKS = 21   # covers up to 7 components
-# Components the power path takes when some component has a generator.  It
-# enumerates Bell(s) set partitions, the first being the one group of all s
-# components, and each group's link subsets: 2^21 of them at s = 7.
-POWER_GROUP_MAX = 7
+# Candidate links the forest enumeration takes, under the power rule and as
+# the default rule's oracle: 21 covers 7 components, whose 36,961 forests
+# it visits in under 0.1 s at an unlimited budget on a 2-core Xeon with
+# Python 3.11.
+ORACLE_MAX_LINKS = 21
 
 
 @dataclass(frozen=True)
@@ -176,43 +176,6 @@ def flatten(s: int) -> FlatIndex:
     return FlatIndex(s)
 
 
-class _DSU:
-    def __init__(self, s: int):
-        self.parent = list(range(s + 1))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
-def _set_partitions(s: int):
-    """Canonical (restricted-growth) enumeration of partitions of 1..s."""
-    groups: list[list[int]] = []
-
-    def rec(k: int):
-        if k > s:
-            yield [tuple(gr) for gr in groups]
-            return
-        for gr in groups:
-            gr.append(k)
-            yield from rec(k + 1)
-            gr.pop()
-        groups.append([k])
-        yield from rec(k + 1)
-        groups.pop()
-
-    yield from rec(1)
-
-
 def _power_ok(selected: Iterable[tuple[int, int]], classes: Sequence[str]) -> bool:
     """Every selected link joining two load-only components must be backed
     by a selected link from one of its endpoints to a generator component."""
@@ -230,57 +193,37 @@ def _power_ok(selected: Iterable[tuple[int, int]], classes: Sequence[str]) -> bo
     return True
 
 
-def _spans(group: Sequence[int], selected: Sequence[tuple[int, int]]) -> bool:
-    dsu = _DSU(max(group))
-    merges = sum(dsu.union(m, n) for m, n in selected)
-    return merges == len(group) - 1
+def _singleton_groups(p: ComponentPartition) -> list[int]:
+    """Each component c (0-based) of the s components as its own group,
+    packed as ``size << s | 1 << c``: two disjoint groups sum to their
+    union, and the largest packed group is the one of largest size."""
+    return [size << p.count | 1 << c for c, size in enumerate(p.sizes)]
 
 
-def _connect_group(
-    group: Sequence[int],
-    mceic: MceicMatrix,
-    classes: Sequence[str],
-) -> Optional[tuple[tuple[tuple[int, int], ...], float]]:
-    """Cheapest power-feasible spanning tree of one merge group, as a sorted
-    pair tuple with its exact cost; None if the group has no generator.
-
-    Trees are ranked by (rounded cost, sorted pairs).  A group with a
-    generator component always has a feasible tree: the star around that
-    component holds no load-load link.
-    """
-    group = sorted(group)
-    if len(group) == 1:
-        return (), 0.0
-    if all(classes[c - 1] == LOAD_ONLY for c in group):
-        return None  # any connecting tree contains an unjustifiable load-load link
-    best: Optional[tuple[float, tuple[tuple[int, int], ...], float]] = None
-    # pairs in lexicographic order, so each tree comes as a sorted tuple
-    for tree in combinations(combinations(group, 2), len(group) - 1):
-        if not _spans(group, tree) or not _power_ok(tree, classes):
-            continue
-        total = sum(mceic.pair_cost(*p) for p in tree)
-        key = (round(total, 9), tree, total)  # trees differ, so total never decides
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best[1], best[2]
+def _join(group: list[int], a: int, b: int) -> list[int]:
+    """The packed groups per component, ``group``, with the two different
+    groups of components a and b (0-based) merged."""
+    ga, gb = group[a], group[b]
+    joined = ga + gb
+    return [joined if g == ga or g == gb else g for g in group]
 
 
 def _plan_from_selection(
     model: ResponseModel,
     pairs: Sequence[tuple[int, int]],
 ) -> ReconstructionPlan:
+    """The plan of a forest of MCEIC pairs."""
     p = model.partition
-    dsu = _DSU(p.count)
+    group = _singleton_groups(p)
     for m, n in pairs:
-        dsu.union(m, n)
-    merged: dict[int, list[int]] = {}
-    for c in range(1, p.count + 1):
-        merged.setdefault(dsu.find(c), []).extend(p.components[c - 1])
-    comps = tuple(
-        tuple(sorted(nodes))
-        for nodes in sorted(merged.values(), key=lambda ns: min(ns))
-    )
+        group = _join(group, m - 1, n - 1)
+    full = (1 << p.count) - 1
+    # disjoint sorted tuples sort by their smallest node
+    comps = tuple(sorted(
+        tuple(sorted(v for c, nodes in enumerate(p.components)
+                     if mask >> c & 1 for v in nodes))
+        for mask in {packed & full for packed in group}
+    ))
     part = ComponentPartition(comps)
     total = sum(model.mceic.pair_cost(m, n) for m, n in pairs)
     rupture = -model.cut_size - part.largest_size + part.count
@@ -370,10 +313,9 @@ def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
     limit = m.effective_budget + BUDGET_TOL
     prefix: list[tuple[int, int]] = []
     _kruskal(ranked, limit, full, list(range(s + 1)), prefix, 0.0)
-    # component c as size << s | 1 << c, largest first: one sum over a
-    # group gives both its size and its bitmask
-    items = sorted((size << s | 1 << c
-                    for c, size in enumerate(m.partition.sizes)), reverse=True)
+    # the components as packed groups, largest first: one sum over a group
+    # gives both its size and its bitmask
+    items = sorted(_singleton_groups(m.partition), reverse=True)
     # a one-component S needs no tree, so some group replaces this
     best: tuple[float, float, tuple[tuple[int, int], ...]] = (math.inf, 0.0, ())
     # merging all of S and all of R is the most any evaluation can do, so a
@@ -408,51 +350,6 @@ def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
     return list(best[2])
 
 
-def _solve_power_partitions(m: ResponseModel) -> list[tuple[int, int]]:
-    """Power-rule search: enumerate set partitions of the components, join
-    each group by its cheapest power-feasible spanning tree, and keep the
-    minimum of (r, rounded total cost, sorted pairs).
-
-    Spanning trees suffice.  In a power-feasible selection with a cycle,
-    drop a load-load link of the cycle, as it backs nothing; else a
-    generator-generator one; else every cycle link joins a load-only
-    component to a generator one, and each load on the cycle has two of
-    them, so drop one and the other still backs it.  The merged groups
-    and feasibility stay, and nonnegative costs do not grow.  A backing
-    link lies in its group, so feasibility is checked per group; the
-    groups' trees are disjoint and of fixed sizes, so the per-group
-    smallest pair tuples join into the smallest one.
-    """
-    assert m.component_class is not None  # checked by ResponseModel
-    limit = m.effective_budget + BUDGET_TOL
-    sizes = m.partition.sizes
-    best: Optional[tuple[int, float, tuple[tuple[int, int], ...]]] = None
-    # a group's tree depends on the group alone, and many partitions share it
-    trees: dict[tuple[int, ...], Optional[tuple]] = {}
-    for groups in _set_partitions(m.partition.count):
-        pairs: list[tuple[int, int]] = []
-        total = 0.0
-        for group in groups:
-            if group not in trees:
-                trees[group] = _connect_group(group, m.mceic, m.component_class)
-            tree = trees[group]
-            if tree is None:
-                break
-            pairs += tree[0]
-            total += tree[1]
-        else:
-            if total > limit:
-                continue
-            largest = max(sum(sizes[c - 1] for c in group) for group in groups)
-            r = -m.cut_size - largest + len(groups)
-            key = (r, round(total, 9), tuple(sorted(pairs)))
-            if best is None or key < best:
-                best = key
-    # the all-singletons partition is feasible, so best is set
-    assert best is not None
-    return list(best[2])
-
-
 def solve_response(m: ResponseModel) -> ReconstructionPlan:
     """Exact minimizer of r = -|X| - m' + w' over budget-feasible forests of
     MCEIC pairs.
@@ -460,78 +357,76 @@ def solve_response(m: ResponseModel) -> ReconstructionPlan:
     Ties on the objective break by total cost, rounded to 9 decimals, then
     by the sorted pair tuple.  A forest loses nothing: dropping a link on a
     cycle keeps the merged groups, and under the power rule also the
-    backing of every load-load link (see :func:`_solve_power_partitions`).
+    backing of every load-load link (see :func:`brute_force_response`).
     With at most one component the plan is empty, and so it is under the
     power rule when no component has a generator: every link then joins
-    two load-only components and nothing can back it.
+    two load-only components and nothing can back it.  Otherwise the
+    default rule runs :func:`_solve_largest_group` and the power rule the
+    forest enumeration of :func:`brute_force_response`.
 
-    Raises SizeLimitError past the cap of the search that would run:
-    POWER_GROUP_MAX components under the power rule, and otherwise
-    SOLVER_MAX_GROUPS groups priced (see :func:`_solve_largest_group`).
+    Raises SizeLimitError past the cap of the search that would run,
+    before it starts: ORACLE_MAX_LINKS candidate links (7 components)
+    under the power rule, and otherwise SOLVER_MAX_GROUPS groups priced.
     """
     s = m.partition.count
     if s <= 1 or (m.power_constraint and HAS_GENERATOR not in m.component_class):
         return _plan_from_selection(m, [])
     if not m.power_constraint:
         return _plan_from_selection(m, _solve_largest_group(m))
-    if s > POWER_GROUP_MAX:
-        raise SizeLimitError(
-            f"{s} components exceed the response solver cap {POWER_GROUP_MAX}"
-        )
-    return _plan_from_selection(m, _solve_power_partitions(m))
+    return brute_force_response(m)
 
 
 def brute_force_response(m: ResponseModel) -> ReconstructionPlan:
-    """Independent oracle: enumerate every subset of the MCEIC pairs
-    (budget-pruned, in pair order) and score each forest from first
-    principles, by the key (r, rounded total cost, sorted pairs).
+    """Enumerate every budget-feasible forest of MCEIC pairs and keep the
+    minimum of the key (r, rounded total cost, sorted pairs): the default
+    rule's independent oracle and the power rule's search.
 
-    Only forests are scored, with or without the power rule: dropping a
-    cycle link keeps a selection's merged groups and power feasibility
-    at no more cost (see :func:`_solve_power_partitions`)."""
+    The pairs are decided in order, included or skipped.  A pair is
+    included only if it joins two different groups and its cost fits the
+    rest of the budget, so the search visits each affordable forest once
+    and scores it from its packed groups (see :func:`_singleton_groups`).
+
+    Forests suffice under the power rule.  In a power-feasible selection
+    with a cycle, drop a load-load link of the cycle, as it backs nothing;
+    else a generator-generator one; else every cycle link joins a
+    load-only component to a generator one, and each load on the cycle
+    has two of them, so drop one and the other still backs it.  The merged
+    groups and feasibility stay, and nonnegative costs do not grow.
+
+    Raises SizeLimitError, before any enumeration, past ORACLE_MAX_LINKS
+    candidate links.
+    """
     s = m.partition.count
     if s <= 1:
         return _plan_from_selection(m, [])
     all_pairs = list(combinations(range(1, s + 1), 2))
     if len(all_pairs) > ORACLE_MAX_LINKS:
-        raise SizeLimitError(
-            f"{len(all_pairs)} candidate links exceed the oracle cap {ORACLE_MAX_LINKS}"
-        )
+        raise SizeLimitError(f"{len(all_pairs)} candidate links exceed the "
+                             f"enumeration cap {ORACLE_MAX_LINKS}")
     limit = m.effective_budget + BUDGET_TOL
-    sizes = m.partition.sizes
+    costs = [m.mceic.pair_cost(*pair) for pair in all_pairs]
     best: Optional[tuple[int, float, tuple[tuple[int, int], ...]]] = None
 
-    def score(selection: list[tuple[int, int]], total: float) -> None:
+    def rec(z: int, group: list[int], selection: list[tuple[int, int]],
+            total: float) -> None:
         nonlocal best
-        if m.power_constraint and not _power_ok(selection, m.component_class):
-            return
-        dsu = _DSU(s)
-        for a, b in selection:
-            if not dsu.union(a, b):
-                return  # a cycle
-        group_sizes: dict[int, int] = {}
-        for c in range(1, s + 1):
-            root = dsu.find(c)
-            group_sizes[root] = group_sizes.get(root, 0) + sizes[c - 1]
-        omega = len(group_sizes)
-        r = -m.cut_size - max(group_sizes.values()) + omega
-        key = (r, round(total, 9), tuple(selection))
-        if best is None or key < best:
-            best = key
-
-    def rec(z: int, selection: list[tuple[int, int]], total: float) -> None:
         if z == len(all_pairs):
-            score(selection, total)
+            # each link merged two groups
+            r = -m.cut_size - (max(group) >> s) + (s - len(selection))
+            key = (r, round(total, 9), tuple(selection))
+            if (best is None or key < best) and (
+                    not m.power_constraint
+                    or _power_ok(selection, m.component_class)):
+                best = key
             return
-        pair = all_pairs[z]
-        c = m.mceic.pair_cost(*pair)
-        if total + c <= limit:
-            selection.append(pair)
-            rec(z + 1, selection, total + c)
+        a, b = all_pairs[z]
+        if group[a - 1] != group[b - 1] and total + costs[z] <= limit:
+            selection.append((a, b))
+            rec(z + 1, _join(group, a - 1, b - 1), selection, total + costs[z])
             selection.pop()
-        rec(z + 1, selection, total)
+        rec(z + 1, group, selection, total)
 
-    rec(0, [], 0.0)
+    rec(0, _singleton_groups(m.partition), [], 0.0)
     assert best is not None  # the empty selection always scores
     return _plan_from_selection(m, best[2])
 

@@ -15,7 +15,7 @@ from rupturekit.graph import Graph, components, rupture_score
 from rupturekit.response import (
     HAS_GENERATOR,
     LOAD_ONLY,
-    POWER_GROUP_MAX,
+    ORACLE_MAX_LINKS,
     SOLVER_MAX_GROUPS,
     MceicMatrix,
     ResponseModel,
@@ -26,6 +26,8 @@ from rupturekit.response import (
     mceic_matrix,
     solve_response,
 )
+
+from power_subsets import check_power_plan
 
 
 def attacked(g, cut):
@@ -131,11 +133,11 @@ class TestSolveResponse:
         assert solve_response(m).selected == ((1, 2), (1, 3), (2, 4))
         assert brute_force_response(m).selected == ((1, 2), (1, 3), (2, 4))
 
-    def test_default_path_never_enumerates_partitions(self, monkeypatch):
-        def forbidden(s):
-            raise AssertionError("set partitions enumerated on the default path")
+    def test_default_path_never_enumerates_link_subsets(self, monkeypatch):
+        def forbidden(m):
+            raise AssertionError("link subsets enumerated on the default path")
 
-        monkeypatch.setattr(response, "_set_partitions", forbidden)
+        monkeypatch.setattr(response, "brute_force_response", forbidden)
         _, m = simple_model(budget=2.3)
         assert solve_response(m).rupture == brute_force_response(m).rupture
 
@@ -214,38 +216,33 @@ class TestDegenerateAndCaps:
             solve_response(singletons_model(s, classes=classes))
 
     def test_power_cap_checked_before_enumeration(self, monkeypatch):
-        def forbidden(s):
-            raise AssertionError("set partitions enumerated past the cap")
+        def forbidden(selected, classes):
+            raise AssertionError("link subsets enumerated past the cap")
 
-        monkeypatch.setattr(response, "_set_partitions", forbidden)
-        s = POWER_GROUP_MAX + 1
+        monkeypatch.setattr(response, "_power_ok", forbidden)
+        s = 8   # 28 candidate links
         classes = (LOAD_ONLY,) * (s - 1) + (HAS_GENERATOR,)
         for budget in (3.0, None):
-            with pytest.raises(SizeLimitError):
+            with pytest.raises(SizeLimitError, match=f"{ORACLE_MAX_LINKS}"):
                 solve_response(singletons_model(s, budget, classes))
 
-    def test_power_cap_is_solved(self, monkeypatch):
-        s = POWER_GROUP_MAX
+    def test_power_cap_is_solved(self):
+        # 7 components, 21 candidate links: the enumeration's largest size
+        s = 7
         classes = (HAS_GENERATOR,) + (LOAD_ONLY,) * (s - 1)
-        priced = []
-        connect = response._connect_group
-
-        def counted(group, *args):
-            priced.append(group)
-            return connect(group, *args)
-
-        monkeypatch.setattr(response, "_connect_group", counted)
-        same_plan(singletons_model(s, budget=3.0, classes=classes))
-        # every nonempty subset of the components is a group of some
-        # partition, and the solve prices each group once
-        assert len(priced) == len(set(priced)) == 2 ** s - 1
+        m = singletons_model(s, budget=3.0, classes=classes)
+        check_power_plan(m, solve_response(m))
+        # the star around the generator joins everything
+        plan = solve_response(replace(m, budget=None))
+        assert plan.merged_partition.count == 1
+        assert response._power_ok(plan.selected, classes)
 
     def test_power_without_generator_is_empty_plan(self, monkeypatch):
         # every link joins two load-only components, so none can be backed
-        def forbidden(s):
-            raise AssertionError("set partitions enumerated")
+        def forbidden(m):
+            raise AssertionError("link subsets enumerated")
 
-        monkeypatch.setattr(response, "_set_partitions", forbidden)
+        monkeypatch.setattr(response, "brute_force_response", forbidden)
         s = 13
         m = singletons_model(s, classes=(LOAD_ONLY,) * s)
         plan = solve_response(m)
@@ -258,7 +255,7 @@ def response_models(draw, power=False):
     """Components built from paths and singletons, link costs from tied
     palettes that include 0.0, budgets from zero to unlimited; with
     `power`, generator and load nodes under the power rule and at most 5
-    components, since its oracle scores every link subset."""
+    components, since its check scores every link subset."""
     lengths = draw(st.lists(st.integers(1, 3), min_size=1,
                             max_size=5 if power else 6))
     edges = []
@@ -304,8 +301,8 @@ class TestSolverMatchesOracle:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(response_models(power=True))
-    def test_power_plan_as_brute_force(self, m):
-        same_plan(m)
+    def test_power_plan_as_subset_enumeration(self, m):
+        check_power_plan(m, solve_response(m))
 
 
 class TestFullMerge:
@@ -478,7 +475,7 @@ class TestPowerConstraint:
         # under the power rule the only affordable link is illegal
         assert plan_pc.links == ()
 
-    def test_power_matches_brute_force(self):
+    def test_power_matches_subset_enumeration(self):
         g = Graph(6, [(1, 2), (3, 4)],
                   node_class=("generator", "load", "load", "load",
                               "load", "load"),
@@ -489,7 +486,26 @@ class TestPowerConstraint:
         mc = mceic_matrix(g, part)
         classes = classify_components(g, part)
         for budget in (1.5, 3.0, None):
-            same_plan(ResponseModel(part, mc, budget, 0, classes, True))
+            m = ResponseModel(part, mc, budget, 0, classes, True)
+            check_power_plan(m, solve_response(m))
+
+    def test_seeded_plans_match_subset_enumeration(self):
+        # four or five singletons, one generator in four: the rule forbids
+        # the default rule's plan in about a quarter of these models
+        for seed in range(100):
+            rng = random.Random(seed)
+            s = rng.randint(4, 5)
+            palette = rng.choice(TestBudgetLimitedGroups.PALETTES + ((0.0, 1.0),))
+            g = Graph(s, [], node_class=[
+                "generator" if rng.random() < 1 / 4 else "load"
+                for _ in range(s)], link_cost={
+                p: rng.choice(palette) for p in combinations(range(1, s + 1), 2)})
+            part = components(g, [])
+            m = ResponseModel(part, mceic_matrix(g, part),
+                              rng.choice([1.0, 2.0, 3.0, None]),
+                              rng.randint(0, 3), classify_components(g, part),
+                              True)
+            check_power_plan(m, solve_response(m))
 
 
 class TestDynamicWorstCut:
