@@ -227,10 +227,11 @@ def solve_attack(model: AttackModel) -> AttackResult:
     a partial removal that this test admits.
 
     Each search node carries the kept set K (the intact and simplicial
-    nodes plus every node decided "keep") as its component masks, its largest component
-    size m(K) and its neighbour mask N(K).  Keeping a node merges it with
-    the components it touches; removing one leaves the state as it is, so
-    no node recomputes components, and at a leaf K is the surviving graph.
+    nodes plus every node decided "keep") as its component masks, its
+    largest component size m(K), held as max(1, m(K)), and the complement
+    of its neighbour mask N(K).  Keeping a node merges it with the
+    components it touches; removing one leaves the state as it is, so no
+    node recomputes components, and at a leaf K is the surviving graph.
     The bound counts only the nodes of U, the undecided nodes outside
     N(K), as possible new components: an undecided survivor next to K
     joins a kept component.  The budget tightens that count.  With f
@@ -253,7 +254,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
     subtree is cut off only when its bound cannot beat the incumbent, or
     ties it with more removals, so no optimum, tie-break included, is cut
     off, and a better starting incumbent only prunes more.  The incumbent
-    may hold a simplicial node, which the search never removes; by the
+    may hold a dominated node, which the search never removes; by the
     argument below it is then not optimal, unless it is a single-survivor
     cut, which is scored again after the search.
 
@@ -272,17 +273,30 @@ def solve_attack(model: AttackModel) -> AttackResult:
     component m(K), the frontier term g_lo and the budget-aware count H in
     W, and reads r <= W - max(f + max(1, m(K)), g_lo).
 
-    Simplicial nodes, whose neighbours are pairwise adjacent (every
-    degree-1 node is one), are never branched on: attackable ones are kept
-    from the start, like intact nodes.  This is exact.  Let X be a cut set
-    holding a simplicial node v.  The surviving neighbours of v lie in one
-    component, so X \ {v} keeps the component count and grows one
+    Separator dominance.  Let X be a cut set holding a node v whose
+    surviving neighbours lie in one component of G - X (or there are
+    none).  Then X \ {v} keeps the component count and grows one
     component by v, or adds v as a new component: its rupture is at least
     that of X, its size is smaller and it costs no more.  It is a cut set
     unless X = V \ {u} with u adjacent to v, where the two survivors
     u and v form one component.  So the cardinality tie-break never picks
-    X, except for a single-survivor cut; when any node was fixed, every
-    affordable single-survivor cut V \ {u} is scored after the search.
+    X, except for a single-survivor cut, and the search drops two kinds
+    of subtree:
+      - Simplicial nodes, whose neighbours are pairwise adjacent (every
+        degree-1 node is one), are never branched on: attackable ones are
+        kept from the start, like intact nodes.
+      - Components only merge down the tree, and an undecided neighbour
+        of a kept component C either joins C or is removed.  So once the
+        surviving neighbours a_v of a removed node v lie in C and its
+        undecided neighbours, v is dominated in every completion.  The
+        test reads only the component the keep branch merged last: the
+        remove branch is skipped when a_v is covered (or empty), and a
+        call made by a removal stops once a keep covers that removal's
+        a_v.  The tests cost three bitwise operations per keep and one per
+        removal.
+    Single-survivor cuts V \ {u} are scored after every search in which
+    one may fit the budget, that is unless the least attack cost rules out
+    n - 1 removals.
     """
     g = model.graph
     if not g.is_connected():
@@ -294,11 +308,13 @@ def solve_attack(model: AttackModel) -> AttackResult:
     order = sorted(model.attackable - fixed, key=lambda v: (-g.degree(v), v))
     cost = g.attack_cost
     limit = model.budget + BUDGET_TOL
-    # per branch index: the node's bit, attack cost and neighbour mask
+    # per branch index: the node's bit, attack cost, neighbour mask and its
+    # complement
     n_order = len(order)
     bits = [1 << (v - 1) for v in order]
     costs = [cost[v - 1] for v in order]
     adjs = [adj[v] for v in order]
+    non_adjs = [~a for a in adjs]
     # undecided[idx] is the mask of order[idx:]
     undecided = [0] * (n_order + 1)
     for idx in range(n_order - 1, -1, -1):
@@ -330,15 +346,22 @@ def solve_attack(model: AttackModel) -> AttackResult:
             best[0] = cand
 
     def dfs(idx: int, removed_mask: int, spent: float,
-            comps: list[tuple[int, int]], m_k: int, nbr_k: int,
-            g_lo: int) -> None:
+            comps: list[tuple[int, int]], m_k: int, non_nbr_k: int,
+            g_lo: int, last: int) -> None:
         # One call per removal: the remove branch recurses and the keep
         # branch rebinds the state and loops, so f is fixed per call and
         # the call explores the search nodes first_idx..idx.  A comps list
-        # is never mutated, since the remove branch shares it.
+        # is never mutated, since the remove branch shares it.  `last` is
+        # the neighbour mask of the node whose removal made this call (-1
+        # at the root), and `uncovered` the nodes not removed outside the
+        # last merged component and its undecided neighbours: a removed
+        # node whose surviving neighbours are all covered is dominated (see
+        # the docstring).  Both sets covered are subsets of `alive`, so
+        # XOR takes them out of it.
         first_idx = idx
         f = removed_mask.bit_count()
         many = many_nbrs[f]
+        alive = uncovered = ~removed_mask
         while True:
             b = best[0]
             if b is not None:
@@ -358,11 +381,11 @@ def solve_attack(model: AttackModel) -> AttackResult:
                 # H = U & many[idx], and
                 #   r <= W - max(f + t' + max(1, m(K)), g_lo)
                 #     <= W - max(f + max(1, m(K)), g_lo).
-                u = undecided[idx] & ~nbr_k
+                u = undecided[idx] & non_nbr_k
                 # |U \ H| + floor(|H| / 2) == |U| - ceil(|H| / 2)
                 w = (len(comps) + u.bit_count()
                      - (((u & many[idx]).bit_count() + 1) >> 1))
-                lo = f + (m_k if m_k > 1 else 1)
+                lo = f + m_k
                 bound = w - (lo if lo > g_lo else g_lo)
                 # equal-bound subtrees with f > |best X| cannot improve the
                 # cardinality-then-lex tie-break
@@ -372,14 +395,14 @@ def solve_attack(model: AttackModel) -> AttackResult:
                 leaf(removed_mask, comps, m_k)
                 break
             bit = bits[idx]
+            adj_v = adjs[idx]
             # branch: remove order[idx]
             new_spent = spent + costs[idx]
-            if new_spent <= limit:
-                dfs(idx + 1, removed_mask | bit, new_spent, comps, m_k, nbr_k,
-                    g_lo)
+            if new_spent <= limit and adj_v & uncovered:
+                dfs(idx + 1, removed_mask | bit, new_spent, comps, m_k,
+                    non_nbr_k, g_lo, adj_v)
             # branch: keep order[idx], merged with every kept component it
             # touches
-            adj_v = adjs[idx]
             merged = bit
             merged_nbr = adj_v
             kept = []
@@ -394,11 +417,15 @@ def solve_attack(model: AttackModel) -> AttackResult:
             size = merged.bit_count()
             if size > m_k:
                 m_k = size
-            nbr_k |= adj_v
+            non_nbr_k &= non_adjs[idx]
             idx += 1
-            frontier = f + size + (merged_nbr & undecided[idx]).bit_count()
+            frontier_nbr = merged_nbr & undecided[idx]
+            frontier = f + size + frontier_nbr.bit_count()
             if frontier > g_lo:
                 g_lo = frontier
+            uncovered = alive ^ (merged | frontier_nbr)
+            if not last & uncovered:
+                break
         stats.nodes_explored += idx - first_idx + 1
 
     always_kept = model.intact | fixed
@@ -408,19 +435,20 @@ def solve_attack(model: AttackModel) -> AttackResult:
         for v in _mask_to_nodes(c):
             c_nbr |= adj[v]
         comps.append((c, c_nbr))
-    nbr = 0
-    g_lo = m_k = 0
+    nbr = g_lo = 0
+    m_k = 1
     for c, c_nbr in comps:
         nbr |= c_nbr
         m_k = max(m_k, c.bit_count())
         g_lo = max(g_lo, c.bit_count() + (c_nbr & undecided[0]).bit_count())
-    dfs(0, 0, 0.0, comps, m_k, nbr, g_lo)
+    dfs(0, 0, 0.0, comps, m_k, ~nbr, g_lo, -1)
     # dfs holds itself through its closure; unbinding it frees the search
     # state now instead of at a later cyclic garbage collection
     del dfs
-    if fixed:
-        # the single-survivor cuts V \ {u}, the only optima that may hold a
-        # simplicial node, scored apart from the search.  Costs are added
+    t_all = _max_removals(cost, limit)
+    if t_all is None or t_all >= g.n - 1:
+        # the single-survivor cuts V \ {u}, the only optima the search may
+        # cut off, scored apart from it when one may fit.  Costs are added
         # left to right, as the oracle sums a cut; they are nonnegative, so
         # the scan stops once the partial sum exceeds the budget.
         intact = model.intact

@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .attack import (
+    BUDGET_TOL,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     AttackModel,
@@ -27,6 +28,7 @@ from .response import (
     MceicMatrix,
     ReconstructionPlan,
     ResponseModel,
+    _power_ok,
     brute_force_response,
     classify_components,
     dynamic_worst_cut,
@@ -229,16 +231,81 @@ def check_attack_oracle(model: AttackModel, res: AttackResult) -> None:
         )
 
 
+def power_subset_optimum(m: ResponseModel) -> tuple[int, float]:
+    """The least (rupture, total cost rounded to 9 decimals) over every
+    subset of the MCEIC pairs that fits the budget and passes the power
+    rule, cycles included, so it also tests that forests suffice.  The
+    subsets are pruned by budget in pair order and their merged groups
+    found by union-find: no search is shared with the power-rule solver,
+    the forest enumeration of brute_force_response."""
+    s = m.partition.count
+    sizes = m.partition.sizes
+    pairs = list(combinations(range(1, s + 1), 2))
+    limit = m.effective_budget + BUDGET_TOL
+    best: Optional[tuple[int, float]] = None
+
+    def find(parent: list[int], x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def rec(z: int, chosen: list[tuple[int, int]], total: float) -> None:
+        nonlocal best
+        if z == len(pairs):
+            if not _power_ok(chosen, m.component_class):
+                return
+            parent = list(range(s + 1))
+            for a, b in chosen:
+                parent[find(parent, a)] = find(parent, b)
+            merged: dict[int, int] = {}
+            for comp in range(1, s + 1):
+                root = find(parent, comp)
+                merged[root] = merged.get(root, 0) + sizes[comp - 1]
+            key = (-m.cut_size - max(merged.values()) + len(merged),
+                   round(total, 9))
+            if best is None or key < best:
+                best = key
+            return
+        c = m.mceic.pair_cost(*pairs[z])
+        if total + c <= limit:
+            chosen.append(pairs[z])
+            rec(z + 1, chosen, total + c)
+            chosen.pop()
+        rec(z + 1, chosen, total)
+
+    rec(0, [], 0.0)
+    assert best is not None  # the empty selection always passes
+    return best
+
+
 def check_response_oracle(rm: ResponseModel, plan: ReconstructionPlan) -> None:
-    """Raise OracleMismatchError unless the enumeration oracle returns the
-    same selected links and rupture as the solver."""
-    ref = brute_force_response(rm)
-    if (ref.selected, ref.rupture) != (plan.selected, plan.rupture):
-        raise OracleMismatchError(
-            f"response solver disagrees with the oracle: selected "
-            f"{list(plan.selected)} rupture {plan.rupture}, oracle "
-            f"{list(ref.selected)} rupture {ref.rupture}"
-        )
+    """Raise OracleMismatchError unless an enumeration oracle agrees with
+    the solver.  Under the default rule brute_force_response must return
+    the same selected links and rupture.  Under the power rule, where that
+    function is the solver, the plan must be a power-feasible forest within
+    the budget with the (rupture, rounded cost) of power_subset_optimum."""
+    if not rm.power_constraint:
+        ref = brute_force_response(rm)
+        if (ref.selected, ref.rupture) == (plan.selected, plan.rupture):
+            return
+        fault = (f"rupture {plan.rupture}, oracle {list(ref.selected)} "
+                 f"rupture {ref.rupture}")
+    elif plan.total_cost > rm.effective_budget + BUDGET_TOL:
+        fault = "exceeds the budget"
+    elif not _power_ok(plan.selected, rm.component_class):
+        fault = "breaks the power rule"
+    elif len(plan.selected) != rm.partition.count - plan.merged_partition.count:
+        fault = "is not a forest"
+    else:
+        got = (plan.rupture, round(plan.total_cost, 9))
+        want = power_subset_optimum(rm)
+        if got == want:
+            return
+        fault = f"has (rupture, cost) {got}, oracle {want}"
+    raise OracleMismatchError(
+        f"response solver disagrees with the oracle: selected "
+        f"{list(plan.selected)} {fault}"
+    )
 
 
 def sweep_budget(

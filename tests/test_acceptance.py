@@ -20,7 +20,13 @@ from rupturekit.attack import (
     AttackModel,
     solve_attack,
 )
-from rupturekit.bench import BenchConfig, attack_model, gen_random, sweep_budget
+from rupturekit.bench import (
+    BenchConfig,
+    attack_model,
+    gen_random,
+    power_subset_optimum,
+    sweep_budget,
+)
 from rupturekit.cuts import KnapsackConstraint, cuts_for_knapsack, verify_cut
 from rupturekit.graph import Graph, components, rupture_score, worst_cut_oracle
 from rupturekit.model_io import export_mip, result_to_json
@@ -200,8 +206,6 @@ def test_criterion_6_nine_node_anchors(capsys, nine_node):
 
 
 def test_criterion_7_ieee_14_bus(capsys, ieee14, tmp_path):
-    from power_subsets import power_subset_optimum
-
     g = ieee14.to_graph()
     part = components(g, [2, 4, 6, 9])
     expected = ((1, 5), (3,), (7, 8), (10, 11), (12, 13, 14))

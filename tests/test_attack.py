@@ -157,6 +157,24 @@ class TestAgainstOracleRandom:
             g = Graph(n, inst.edges, attack_cost=costs)
             assert_matches_oracle(g, float(rng.randint(1, 4)), attackable)
 
+    def test_dense_graphs_deep_budgets(self):
+        # 3n edges at budgets up to n/2 prune removals deep in the tree;
+        # zero costs and restricted attackable sets included
+        rng = random.Random(53)
+        for i in range(40):
+            n = rng.randint(12, 16)
+            config = BenchConfig(seed=rng.randrange(10**6), count=1,
+                                 n_min=n, n_max=n, edge_count=3 * n)
+            inst = gen_random(config)[0]
+            costs = inst.attack_cost
+            if i % 2:
+                costs = [rng.choice([0.0, 0.5, 1.0, 2.0]) for _ in range(n)]
+            attackable = frozenset()
+            if i % 3 == 0:
+                attackable = frozenset(rng.sample(range(1, n + 1), n * 3 // 4))
+            g = Graph(n, inst.edges, attack_cost=costs)
+            assert_matches_oracle(g, float(rng.randint(2, n // 2)), attackable)
+
     def test_pigeonhole_term_is_exact(self):
         # a tie-break case: the 5-node cut {2, 6, 7, 8, 9} and a 6-node cut
         # both reach rupture -4, and the cardinality tie-break must pick
@@ -324,38 +342,42 @@ class TestSearchCounter:
         # pigeonhole term on the largest component, 3,485 before the
         # frontier term on kept components, 2,739 before the budget-aware
         # count of new components, 2,738 before the search started from
-        # the neighbourhood-cut incumbent, 2,707 with the pigeonhole term.
+        # the neighbourhood-cut incumbent, 2,707 with the pigeonhole term,
+        # 2,775 before separator dominance pruned removals whose surviving
+        # neighbours can only end up in one component (same cut).
         # A looser bound or a worse initial incumbent raises this count.
         inst = gen_random(BenchConfig(seed=7, count=1, n_min=20, n_max=20))[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 7, 11, 16, 17, 19})
-        assert res.stats.nodes_explored == 2775
+        assert res.stats.nodes_explored == 1877
 
     def test_dense_budget_four_pinned(self):
         # 3n edges at budget 4, the attack benchmark's shape: 58,882 nodes
         # without the pigeonhole term, 7,724 without the frontier term,
         # 2,721 without the budget-aware count of new components, 1,925
-        # without the neighbourhood-cut incumbent
+        # without the neighbourhood-cut incumbent, 1,301 without separator
+        # dominance (same cut)
         config = BenchConfig(seed=0, count=1, n_min=26, n_max=26,
                              edge_count=78, budget_attack=4.0)
         inst = gen_random(config)[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 19, 22, 26})
         assert res.score.rupture == -21
-        assert res.stats.nodes_explored == 1301
+        assert res.stats.nodes_explored == 977
 
     def test_reach_budget_four_pinned(self):
         # an instance of the reach probe (gen_random defaults, n 30-44) at
         # budget 4: 63,006 nodes without the frontier term, 10,004 without
         # the budget-aware count of new components, 8,612 without the
-        # neighbourhood-cut incumbent
+        # neighbourhood-cut incumbent, 7,465 without separator dominance
+        # (same cut)
         config = BenchConfig(seed=3, count=1, n_min=30, n_max=44)
         inst = gen_random(config)[0]
         assert inst.n == 33
         res = solve_attack(AttackModel(inst.to_graph(), 4.0))
         assert res.cut.nodes == frozenset({5, 7, 17, 28})
         assert res.score.rupture == -24
-        assert res.stats.nodes_explored == 7465
+        assert res.stats.nodes_explored == 5133
 
 
 def clique_edges(k):
@@ -374,6 +396,13 @@ def graph(n, edges, costs=None):
 # (graph, budget, attackable): mostly simplicial nodes, several with
 # single-survivor optima, which the search alone never reaches
 SIMPLICIAL_CASES = {
+    # hub 1 and rim 2-6, no node simplicial: the hub costs more than the
+    # budget, so the only cut is the rim, which separator dominance keeps
+    # out of the search
+    "wheel5_hub_priced_out": (
+        graph(6, [(1, v) for v in range(2, 7)]
+              + [(v, v + 1) for v in range(2, 6)] + [(2, 6)],
+              (10.0,) + (1.0,) * 5), 5.0, None),
     **{f"K{k}": (graph(k, clique_edges(k)), k - 1.0, None)
        for k in range(3, 7)},
     "K4_pendants": (graph(6, clique_edges(4) + [(1, 5), (1, 6)]), 5.0, None),
@@ -422,7 +451,7 @@ class TestSimplicialReduction:
         for g, budget, attackable in SIMPLICIAL_CASES.values():
             ref = worst_cut_oracle(g, budget, attackable)
             single += ref is not None and len(ref[0].nodes) == g.n - 1
-        assert single == 10
+        assert single == 11
 
 
 @st.composite

@@ -9,12 +9,14 @@ from rupturekit.bench import (
     PIPELINE_CSV_HEADER,
     SWEEP_CSV_HEADER,
     BenchConfig,
+    check_response_oracle,
     gen_random,
+    power_subset_optimum,
     run_pipeline,
     sweep_budget,
 )
-from rupturekit.errors import InputError
-from rupturekit.graph import rupture_score
+from rupturekit.errors import InputError, OracleMismatchError
+from rupturekit.graph import Graph, components, rupture_score
 from rupturekit.model_io import InstanceFile, emit_instance
 
 
@@ -118,6 +120,42 @@ class TestRunPipeline:
         # stage one is checked only when it was solved; the re-attack always
         stage_one = [inst.edges] if attack_type == "targeted" else []
         assert checked == stage_one + [rebuilt]
+
+
+class TestPowerOracle:
+    """Under the power rule the oracle check scores every link subset,
+    cycles included, and never calls the solver's enumeration."""
+
+    def model(self, budget):
+        # three singletons, a generator at 1; the load-load link 2-3 is the
+        # cheapest and needs a link from 2 or 3 to 1 to back it
+        g = Graph(3, [], node_class=["generator", "load", "load"],
+                  link_cost={(1, 2): 1.0, (1, 3): 1.0, (2, 3): 0.25})
+        part = components(g, [])
+        return response.ResponseModel(
+            part, response.mceic_matrix(g, part), budget, 0,
+            response.classify_components(g, part), True)
+
+    def test_solver_plans_pass(self, monkeypatch):
+        plans = {b: response.solve_response(self.model(b))
+                 for b in (0.5, 1.25, None)}
+        monkeypatch.setattr(bench, "brute_force_response", None)
+        for b, plan in plans.items():
+            check_response_oracle(self.model(b), plan)
+        # 0.5 buys no link; 1.25 and an unlimited budget buy 2-3 backed by
+        # one generator link, never the costlier cycle or the two
+        # generator links
+        assert power_subset_optimum(self.model(0.5)) == (2, 0.0)
+        assert power_subset_optimum(self.model(1.25)) == (-2, 1.25)
+        assert power_subset_optimum(self.model(None)) == (-2, 1.25)
+
+    def test_unbacked_link_caught(self):
+        # the default rule buys 2-3 alone at budget 0.5
+        m = self.model(0.5)
+        plan = response.solve_response(replace(m, power_constraint=False))
+        assert plan.selected == ((2, 3),)
+        with pytest.raises(OracleMismatchError, match="breaks the power rule"):
+            check_response_oracle(m, plan)
 
 
 class TestSweep:

@@ -309,6 +309,26 @@ class TestRespondErrors:
 
 
 class TestPipelineCommand:
+    def test_power_oracle_mismatch_exit_code(self, runner, ieee14_path,
+                                             monkeypatch):
+        real = bench.solve_response
+
+        def worse_plan(model):
+            # the plan of a zero budget adds no link
+            return real(replace(model, budget=0.0))
+
+        args = ["pipeline", str(ieee14_path), "--power-constraint",
+                "--oracle-check"]
+        assert runner.invoke(main, args).exit_code == 0
+        # the forest enumeration is the power-rule solver, so the check
+        # must not trust it either
+        monkeypatch.setattr(bench, "solve_response", worse_plan)
+        monkeypatch.setattr(bench, "brute_force_response", worse_plan)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 5
+        assert "response solver disagrees with the oracle" in res.output
+
+
     def test_csv_output(self, runner, nine_node_path):
         res = runner.invoke(main, ["pipeline", str(nine_node_path), "--csv"])
         assert res.exit_code == 0, res.output

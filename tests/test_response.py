@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rupturekit import response
 from rupturekit.attack import AttackModel, solve_attack
-from rupturekit.bench import BenchConfig, gen_random
+from rupturekit.bench import BenchConfig, check_response_oracle, gen_random
 from rupturekit.errors import InputError, SizeLimitError
 from rupturekit.graph import Graph, components, rupture_score
 from rupturekit.response import (
@@ -26,8 +26,6 @@ from rupturekit.response import (
     mceic_matrix,
     solve_response,
 )
-
-from power_subsets import check_power_plan
 
 
 def attacked(g, cut):
@@ -231,7 +229,7 @@ class TestDegenerateAndCaps:
         s = 7
         classes = (HAS_GENERATOR,) + (LOAD_ONLY,) * (s - 1)
         m = singletons_model(s, budget=3.0, classes=classes)
-        check_power_plan(m, solve_response(m))
+        check_response_oracle(m, solve_response(m))
         # the star around the generator joins everything
         plan = solve_response(replace(m, budget=None))
         assert plan.merged_partition.count == 1
@@ -254,9 +252,12 @@ class TestDegenerateAndCaps:
 def response_models(draw, power=False):
     """Components built from paths and singletons, link costs from tied
     palettes that include 0.0, budgets from zero to unlimited; with
-    `power`, generator and load nodes under the power rule and at most 5
-    components, since its check scores every link subset."""
-    lengths = draw(st.lists(st.integers(1, 3), min_size=1,
+    `power`, 3-5 components under the power rule, since its check scores
+    every link subset.  The classes are drawn per component: one drawn
+    component and about one in four of the others hold a generator node,
+    the rest are load-only, so load-load links often need backing and the
+    rule binds."""
+    lengths = draw(st.lists(st.integers(1, 3), min_size=3 if power else 1,
                             max_size=5 if power else 6))
     edges = []
     start = 1
@@ -272,8 +273,14 @@ def response_models(draw, power=False):
                  for p in combinations(range(1, n + 1), 2) if p not in edge_set}
     node_class = None
     if power:
-        node_class = draw(st.lists(st.sampled_from(["generator", "load"]),
-                                   min_size=n, max_size=n))
+        node_class = []
+        backed = draw(st.integers(0, len(lengths) - 1))
+        for c, length in enumerate(lengths):
+            comp = ["load"] * length
+            if c == backed or draw(st.sampled_from([False, False, False,
+                                                    True])):
+                comp[draw(st.integers(0, length - 1))] = "generator"
+            node_class += comp
     g = Graph(n, edges, link_cost=link_cost, node_class=node_class)
     part = components(g, [])
     budget = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, None]))
@@ -302,7 +309,7 @@ class TestSolverMatchesOracle:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(response_models(power=True))
     def test_power_plan_as_subset_enumeration(self, m):
-        check_power_plan(m, solve_response(m))
+        check_response_oracle(m, solve_response(m))
 
 
 class TestFullMerge:
@@ -487,7 +494,7 @@ class TestPowerConstraint:
         classes = classify_components(g, part)
         for budget in (1.5, 3.0, None):
             m = ResponseModel(part, mc, budget, 0, classes, True)
-            check_power_plan(m, solve_response(m))
+            check_response_oracle(m, solve_response(m))
 
     def test_seeded_plans_match_subset_enumeration(self):
         # four or five singletons, one generator in four: the rule forbids
@@ -505,7 +512,7 @@ class TestPowerConstraint:
                               rng.choice([1.0, 2.0, 3.0, None]),
                               rng.randint(0, 3), classify_components(g, part),
                               True)
-            check_power_plan(m, solve_response(m))
+            check_response_oracle(m, solve_response(m))
 
 
 class TestDynamicWorstCut:
