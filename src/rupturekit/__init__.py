@@ -50,7 +50,6 @@ from .response import (
     brute_force_response,
     classify_components,
     dynamic_worst_cut,
-    flatten,
     mceic_matrix,
     solve_response,
 )

@@ -87,10 +87,6 @@ class AttackResult:
     partition: Optional[ComponentPartition] = None
     stats: SolverStats = field(default_factory=SolverStats)
 
-    @property
-    def objective(self) -> Optional[int]:
-        return None if self.score is None else self.score.rupture
-
 
 def scored_cut(g: Graph, nodes: Iterable[int],
                stats: Optional[SolverStats] = None) -> AttackResult:

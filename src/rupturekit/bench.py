@@ -189,8 +189,7 @@ def response_model(g: Graph, attack: AttackResult, budget: Optional[float],
     if budget is not None and math.isinf(budget):
         budget = None
     return ResponseModel(part, mceic, budget, attack.score.cut_size,
-                         classify_components(g, part) if power else None,
-                         power)
+                         classify_components(g, part) if power else None)
 
 
 def run_pipeline(
@@ -266,7 +265,7 @@ def power_subset_optimum(m: ResponseModel) -> tuple[int, float]:
             if best is None or key < best:
                 best = key
             return
-        c = m.mceic.pair_cost(*pairs[z])
+        c = m.mceic.cost[pairs[z]]
         if total + c <= limit:
             chosen.append(pairs[z])
             rec(z + 1, chosen, total + c)
@@ -284,7 +283,7 @@ def check_response_oracle(rm: ResponseModel, plan: ReconstructionPlan) -> None:
     the same selected links and rupture.  Under the power rule, where that
     function is the solver, the plan must be a power-feasible forest within
     the budget with the (rupture, rounded cost) of power_subset_optimum."""
-    if not rm.power_constraint:
+    if rm.component_class is None:
         ref = brute_force_response(rm)
         if (ref.selected, ref.rupture) == (plan.selected, plan.rupture):
             return

@@ -122,17 +122,6 @@ class Graph:
         link = {k: v for k, v in self.link_cost.items() if k not in merged}
         return Graph(self.n, merged, self.attack_cost, link, self.node_class)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.edges == other.edges
-            and self.attack_cost == other.attack_cost
-            and self.link_cost == other.link_cost
-            and self.node_class == other.node_class
-        )
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
 

@@ -22,7 +22,6 @@ from .response import (
     LOAD_ONLY,
     ReconstructionPlan,
     classify_components,
-    flatten,
     mceic_matrix,
 )
 
@@ -661,7 +660,9 @@ def _export_reduced(inst: InstanceFile, g: Graph, cut: list[int],
     gens = [m for m, label in enumerate(classes, 1) if label == HAS_GENERATOR]
     loads = [m for m, label in enumerate(classes, 1) if label == LOAD_ONLY]
     _check_rows(export_row_count("reduced", inst.n, part, len(loads)))
-    flat = flatten(s)
+    # the link vector: xhat_z is the z-th component pair in combinations order
+    xhat = {pair: f"xhat_{z}"
+            for z, pair in enumerate(combinations(range(1, s + 1), 2), 1)}
     mc = mceic_matrix(g, part)
     big_m = float(inst.n + 1)
     eps = EXPORT_EPSILON
@@ -675,37 +676,31 @@ def _export_reduced(inst: InstanceFile, g: Graph, cut: list[int],
     ])
 
     obj = [(-1.0, "alphaR")]
-    obj.extend((-1.0, f"xhat_{z}") for z in range(1, flat.length + 1))
+    obj.extend((-1.0, name) for name in xhat.values())
     obj.extend((eps, f"tR_{m}") for m in range(1, s + 1))
     w.objective(obj, constant=float(s - len(cut)))
 
     w.row("r19b", [(1.0, f"tR_{m}") for m in range(1, s + 1)], ">=", 1.0)
     sizes = part.sizes
     for m in range(1, s + 1):
-        cross = []
-        for nn in range(1, s + 1):
-            if nn == m:
-                continue
-            z = flat.sigma(min(m, nn), max(m, nn))
-            cross.append((float(sizes[nn - 1]), f"xhat_{z}"))
+        cross = [(float(sizes[nn - 1]), xhat[min(m, nn), max(m, nn)])
+                 for nn in range(1, s + 1) if nn != m]
         w.row(f"r19c_lo_{m}",
               cross + [(-1.0, "alphaR")], "<=", -float(sizes[m - 1]))
         w.row(f"r19c_hi_{m}",
               [(1.0, "alphaR")] + [(-c, var) for c, var in cross]
               + [(big_m, f"tR_{m}")], "<=", big_m + float(sizes[m - 1]))
     w.row("r19d",
-          [(mc.cost[flat.unsigma(z)], f"xhat_{z}")
-           for z in range(1, flat.length + 1)],
+          [(mc.cost[pair], name) for pair, name in xhat.items()],
           "<=", budget)
     for m, nn in combinations(loads, 2):
-        terms = [(1.0, f"xhat_{flat.sigma(m, nn)}")]
+        terms = [(1.0, xhat[m, nn])]
         for i in gens:
-            terms.append((-1.0, f"xhat_{flat.sigma(min(m, i), max(m, i))}"))
-            terms.append((-1.0, f"xhat_{flat.sigma(min(nn, i), max(nn, i))}"))
+            terms.append((-1.0, xhat[min(m, i), max(m, i)]))
+            terms.append((-1.0, xhat[min(nn, i), max(nn, i)]))
         w.row(f"r21_{m}_{nn}", terms, "<=", 0.0)
 
-    for z in range(1, flat.length + 1):
-        w.binaries.append(f"xhat_{z}")
+    w.binaries.extend(xhat.values())
     for m in range(1, s + 1):
         w.binaries.append(f"tR_{m}")
     w.bounds.append("alphaR >= 0")

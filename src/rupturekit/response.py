@@ -52,42 +52,8 @@ class MceicMatrix:
     """Minimum link-addition cost between each component pair, with the
     realizing node endpoints."""
 
-    size: int
     cost: dict[tuple[int, int], float]      # keys (m,n), m<n, 1-based
     endpoint: dict[tuple[int, int], tuple[int, int]]
-
-    def pair_cost(self, m: int, n: int) -> float:
-        return self.cost[(min(m, n), max(m, n))]
-
-    def pair_endpoint(self, m: int, n: int) -> tuple[int, int]:
-        return self.endpoint[(min(m, n), max(m, n))]
-
-
-@dataclass(frozen=True)
-class FlatIndex:
-    """Bijection between component pairs (m,n), m<n, and positions
-    1..s(s-1)/2 of the flattened upper triangle."""
-
-    s: int
-
-    def sigma(self, m: int, n: int) -> int:
-        if not (1 <= m < n <= self.s):
-            raise InputError(f"pair ({m},{n}) invalid for s={self.s}")
-        return (m - 1) * self.s - (m - 1) * m // 2 + (n - m)
-
-    def unsigma(self, z: int) -> tuple[int, int]:
-        if not (1 <= z <= self.length):
-            raise InputError(f"position {z} out of range")
-        m = 1
-        row_start = 1
-        while z >= row_start + (self.s - m):
-            row_start += self.s - m
-            m += 1
-        return m, m + (z - row_start + 1)
-
-    @property
-    def length(self) -> int:
-        return self.s * (self.s - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -96,16 +62,14 @@ class ResponseModel:
     mceic: MceicMatrix
     budget: Optional[float]            # None = unlimited
     cut_size: int
+    # given exactly when the power rule applies
     component_class: Optional[tuple[str, ...]] = None
-    power_constraint: bool = False
 
     def __post_init__(self):
         if self.budget is not None and not (math.isfinite(self.budget)
                                             and self.budget >= 0):
             # None is the only unlimited budget
             raise InputError("response budget must be finite and nonnegative")
-        if self.power_constraint and self.component_class is None:
-            raise InputError("power constraint requires component classes")
         if self.component_class is not None:
             if len(self.component_class) != self.partition.count:
                 raise InputError("one class per component required")
@@ -167,13 +131,7 @@ def mceic_matrix(g: Graph, p: ComponentPartition) -> MceicMatrix:
             )
         cost[(m, n)] = best[0]
         endpoint[(m, n)] = best[1]
-    return MceicMatrix(p.count, cost, endpoint)
-
-
-def flatten(s: int) -> FlatIndex:
-    if s < 2:
-        raise InputError("flatten requires at least two components")
-    return FlatIndex(s)
+    return MceicMatrix(cost, endpoint)
 
 
 def _power_ok(selected: Iterable[tuple[int, int]], classes: Sequence[str]) -> bool:
@@ -225,9 +183,9 @@ def _plan_from_selection(
         for mask in {packed & full for packed in group}
     ))
     part = ComponentPartition(comps)
-    total = sum(model.mceic.pair_cost(m, n) for m, n in pairs)
+    total = sum(model.mceic.cost[pair] for pair in pairs)
     rupture = -model.cut_size - part.largest_size + part.count
-    links = tuple(model.mceic.pair_endpoint(m, n) for m, n in pairs)
+    links = tuple(model.mceic.endpoint[pair] for pair in pairs)
     return ReconstructionPlan(tuple(pairs), links, total, part, rupture)
 
 
@@ -271,8 +229,12 @@ def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
     (matroid greedy property), so no plan buys more than k links and
     |S| <= k + 1.  The groups are enumerated level by level, from k + 1
     components down, and the search stops at the first level whose largest
-    groups cannot reach the incumbent.  When the prefix joins every
-    component, the top level is the one group of all s, which is the plan.
+    groups cannot reach the incumbent: unless S holds all s components, R
+    is nonempty, so at least max(2, s - k) groups remain and S scores at
+    best -|X| - size(S) + max(2, s - k).  A group that can only tie the
+    incumbent is still priced, so the tie-break is kept.  When the prefix
+    joins every component, the top level is the one group of all s, which
+    is the plan.
 
     For each S, Kruskal over the MCEIC pairs inside S in (cost, pair) order
     gives S's tree; S is skipped if the tree is over budget.  The same
@@ -307,7 +269,7 @@ def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
     full = (1 << s) - 1
     ranked: list[_RankedPair] = [
         (c, pair, (1 << (pair[0] - 1)) | (1 << (pair[1] - 1)))
-        for c, pair in sorted((m.mceic.pair_cost(*pair), pair)
+        for c, pair in sorted((m.mceic.cost[pair], pair)
                               for pair in combinations(range(1, s + 1), 2))
     ]
     limit = m.effective_budget + BUDGET_TOL
@@ -318,8 +280,9 @@ def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
     items = sorted(_singleton_groups(m.partition), reverse=True)
     # a one-component S needs no tree, so some group replaces this
     best: tuple[float, float, tuple[tuple[int, int], ...]] = (math.inf, 0.0, ())
-    # merging all of S and all of R is the most any evaluation can do, so a
-    # group smaller than `least` cannot reach the incumbent
+    # with R nonempty at least max(2, s - k) groups remain, so a group
+    # smaller than `least` = floor - r(incumbent) cannot reach the incumbent
+    floor = max(2, s - len(prefix)) - m.cut_size
     least = 0
     priced = 0
     for j in range(len(prefix) + 1, 0, -1):
@@ -346,7 +309,7 @@ def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
                 key = (r, rounded, tuple(sorted(chosen)))
                 if key < best:
                     best = key
-                    least = 2 - m.cut_size - r
+                    least = floor - r
     return list(best[2])
 
 
@@ -368,10 +331,11 @@ def solve_response(m: ResponseModel) -> ReconstructionPlan:
     before it starts: ORACLE_MAX_LINKS candidate links (7 components)
     under the power rule, and otherwise SOLVER_MAX_GROUPS groups priced.
     """
-    s = m.partition.count
-    if s <= 1 or (m.power_constraint and HAS_GENERATOR not in m.component_class):
+    classes = m.component_class
+    if m.partition.count <= 1 or (classes is not None
+                                  and HAS_GENERATOR not in classes):
         return _plan_from_selection(m, [])
-    if not m.power_constraint:
+    if classes is None:
         return _plan_from_selection(m, _solve_largest_group(m))
     return brute_force_response(m)
 
@@ -404,7 +368,7 @@ def brute_force_response(m: ResponseModel) -> ReconstructionPlan:
         raise SizeLimitError(f"{len(all_pairs)} candidate links exceed the "
                              f"enumeration cap {ORACLE_MAX_LINKS}")
     limit = m.effective_budget + BUDGET_TOL
-    costs = [m.mceic.pair_cost(*pair) for pair in all_pairs]
+    costs = [m.mceic.cost[pair] for pair in all_pairs]
     best: Optional[tuple[int, float, tuple[tuple[int, int], ...]]] = None
 
     def rec(z: int, group: list[int], selection: list[tuple[int, int]],
@@ -415,7 +379,7 @@ def brute_force_response(m: ResponseModel) -> ReconstructionPlan:
             r = -m.cut_size - (max(group) >> s) + (s - len(selection))
             key = (r, round(total, 9), tuple(selection))
             if (best is None or key < best) and (
-                    not m.power_constraint
+                    m.component_class is None
                     or _power_ok(selection, m.component_class)):
                 best = key
             return

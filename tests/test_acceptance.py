@@ -5,12 +5,12 @@ Solver answers are always cross-checked against a second, structurally
 different route (exhaustive enumeration, closed-form identities, or the
 published anchor values bundled with the fixtures)."""
 
-import itertools
 import json
 import math
 import random
 import time
 from dataclasses import replace
+from itertools import compress
 
 import pytest
 
@@ -34,7 +34,6 @@ from rupturekit.response import (
     ResponseModel,
     brute_force_response,
     classify_components,
-    flatten,
     mceic_matrix,
     solve_response,
 )
@@ -125,6 +124,30 @@ def test_criterion_3_response_reduction(capsys):
             "subset enumeration on 100 attacked instances with s <= 7")
 
 
+def _knapsack_points(weights, capacity):
+    """Every 0/1 point with sum(w * x) <= capacity + 1e-9, depth-first.  The
+    weight is summed in index order, as sum() over the point does, and a
+    branch ends once it passes the limit: weights are nonnegative, so it
+    holds no feasible point."""
+    limit = capacity + 1e-9
+    points, bits = [], []
+
+    def rec(total):
+        i = len(bits)
+        if i == len(weights):
+            points.append(tuple(bits))
+            return
+        bits.append(0)
+        rec(total)
+        bits[-1] = 1
+        if total + weights[i] <= limit:
+            rec(total + weights[i])
+        bits.pop()
+
+    rec(0)
+    return points
+
+
 def test_criterion_4_lci_validity(capsys):
     rng = random.Random(44)
     ok = True
@@ -137,15 +160,15 @@ def test_criterion_4_lci_validity(capsys):
             weights = tuple(round(rng.randint(1, 99) / 10, 1) for _ in range(n))
         cap = round(rng.uniform(min(weights), max(sum(weights) - 0.5, 1.0)), 1)
         k = KnapsackConstraint(weights, max(cap, 0.5))
+        points = _knapsack_points(weights, k.capacity)
         for cut in cuts_for_knapsack(k):
             emitted += 1
             ok = ok and cut.verified and cut.dominates_ci
             # re-verify from scratch so the emitter's own flag is not trusted
-            for bits in itertools.product((0, 1), repeat=n):
-                if sum(w * x for w, x in zip(weights, bits)) <= k.capacity + 1e-9:
-                    if sum(c * x for c, x in zip(cut.coeffs, bits)) > cut.rhs:
-                        ok = False
-                        break
+            for bits in points:
+                if sum(compress(cut.coeffs, bits)) > cut.rhs:
+                    ok = False
+                    break
             if not ok:
                 break
         if not ok:
@@ -212,7 +235,7 @@ def test_criterion_7_ieee_14_bus(capsys, ieee14, tmp_path):
     ok = part.components == expected
     attacked = rupture_score(g, [2, 4, 6, 9])
     classes = classify_components(g, part)
-    m = ResponseModel(part, mceic_matrix(g, part), 3.0, 4, classes, True)
+    m = ResponseModel(part, mceic_matrix(g, part), 3.0, 4, classes)
     plan = solve_response(m)
     ok = ok and len(plan.links) == 2
     ok = ok and ((plan.rupture, round(plan.total_cost, 9))
@@ -235,16 +258,8 @@ def test_criterion_7_ieee_14_bus(capsys, ieee14, tmp_path):
             "links at budget 3; deviations recorded in the result file")
 
 
-def test_criterion_8_flatten_and_export_determinism(capsys, nine_node, ieee14):
+def test_criterion_8_export_determinism(capsys, nine_node, ieee14):
     ok = True
-    for s in range(2, 51):
-        f = flatten(s)
-        seen = set()
-        for mn in itertools.combinations(range(1, s + 1), 2):
-            z = f.sigma(*mn)
-            ok = ok and f.unsigma(z) == mn and 1 <= z <= f.length
-            seen.add(z)
-        ok = ok and len(seen) == f.length
     for inst, which, cut in [
         (nine_node, "attack", None),
         (nine_node, "response", [5]),
@@ -255,8 +270,7 @@ def test_criterion_8_flatten_and_export_determinism(capsys, nine_node, ieee14):
         b = export_mip(inst, which, cut, power=(inst is ieee14))
         ok = ok and a == b and len(a) > 0
     _report(capsys, 8, ok,
-            "sigma flattening is a bijection for all s <= 50 and every "
-            "formulation export is byte-identical across runs")
+            "every formulation export is byte-identical across runs")
 
 
 def test_criterion_9_budget_monotonicity(capsys, nine_node):

@@ -134,7 +134,7 @@ class TestPowerOracle:
         part = components(g, [])
         return response.ResponseModel(
             part, response.mceic_matrix(g, part), budget, 0,
-            response.classify_components(g, part), True)
+            response.classify_components(g, part))
 
     def test_solver_plans_pass(self, monkeypatch):
         plans = {b: response.solve_response(self.model(b))
@@ -152,7 +152,7 @@ class TestPowerOracle:
     def test_unbacked_link_caught(self):
         # the default rule buys 2-3 alone at budget 0.5
         m = self.model(0.5)
-        plan = response.solve_response(replace(m, power_constraint=False))
+        plan = response.solve_response(replace(m, component_class=None))
         assert plan.selected == ((2, 3),)
         with pytest.raises(OracleMismatchError, match="breaks the power rule"):
             check_response_oracle(m, plan)

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +23,7 @@ from rupturekit.model_io import (
     response_bridge_terms,
     result_to_json,
 )
-from rupturekit.response import classify_components
+from rupturekit.response import classify_components, mceic_matrix
 
 MINIMAL = """\
 FORMAT rupturekit-instance 1
@@ -439,6 +441,52 @@ def test_export_row_count_matches_text(request, name, which, cut, power, digest)
     if power:
         loads = classify_components(inst.to_graph(), part).count("load-only")
     assert export_row_count(which, inst.n, part, loads) == end - start
+
+
+def _hub_and_paths(s, seed):
+    """Node 1 joined to s paths of 1-3 nodes, so removing it leaves s
+    components, with link costs from a tied palette that includes 0."""
+    rng = random.Random(seed)
+    edges, start = [], 2
+    for _ in range(s):
+        length = rng.randint(1, 3)
+        edges.append((1, start))
+        edges += [(v, v + 1) for v in range(start, start + length - 1)]
+        start += length
+    edge_set = set(edges)
+    link_cost = {p: rng.choice((0.0, 0.25, 1.0, 1.5, 3.0))
+                 for p in combinations(range(1, start), 2) if p not in edge_set}
+    return InstanceFile(start - 1, tuple(edges), (1.0,) * (start - 1),
+                        link_cost, budget_response=2.0)
+
+
+@pytest.mark.parametrize("s", range(2, 13))
+def test_reduced_link_vector_names(s):
+    # xhat_z is the z-th component pair in combinations order; the pinned
+    # digests reach only s <= 5
+    from lp_text import ROW, _terms
+
+    inst = _hub_and_paths(s, seed=s)
+    lines = export_mip(inst, "reduced", cut=[1]).splitlines()
+    part = components(inst.to_graph(), [1])
+    assert part.count == s
+    cost = mceic_matrix(inst.to_graph(), part).cost
+    pairs = list(combinations(range(1, s + 1), 2))
+    xhat = [f"xhat_{z}" for z in range(1, len(pairs) + 1)]
+    binaries = lines[lines.index("Binaries") + 1:lines.index("End")]
+    assert [v.strip() for v in binaries if "xhat" in v] == xhat
+    rows = {}
+    for line in lines:
+        match = ROW.match(line)
+        if match:
+            rows[match[1]] = _terms(match[2])[0]
+    assert {v: rows["r19d"].get(v, 0.0) for v in xhat} == {
+        v: cost[pair] for v, pair in zip(xhat, pairs)}
+    for m in range(1, s + 1):
+        terms = rows[f"r19c_lo_{m}"]
+        assert {v: c for v, c in terms.items() if "xhat" in v} == {
+            v: part.sizes[sum(pair) - m - 1]
+            for v, pair in zip(xhat, pairs) if m in pair}
 
 
 LP_TEXT = """\

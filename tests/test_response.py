@@ -22,7 +22,6 @@ from rupturekit.response import (
     brute_force_response,
     classify_components,
     dynamic_worst_cut,
-    flatten,
     mceic_matrix,
     solve_response,
 )
@@ -33,33 +32,14 @@ def attacked(g, cut):
     return part, mceic_matrix(g, part), rupture_score(g, cut)
 
 
-def simple_model(budget=None, power=False, classes=None):
+def simple_model(budget=None):
     # P7 minus {3, 5}: components {1,2}, {4}, {6,7}
     g = Graph(7, [(i, i + 1) for i in range(1, 7)],
               link_cost={(i, j): 1.0 + 0.1 * (i + j)
                          for i in range(1, 8) for j in range(i + 1, 8)
                          if j != i + 1})
     part, mc, sc = attacked(g, [3, 5])
-    return g, ResponseModel(part, mc, budget, sc.cut_size, classes, power)
-
-
-class TestFlatten:
-    def test_small_example(self):
-        f = flatten(4)
-        assert f.length == 6
-        assert f.sigma(1, 2) == 1
-        assert f.sigma(1, 4) == 3
-        assert f.sigma(2, 3) == 4
-        assert f.sigma(3, 4) == 6
-
-    def test_roundtrip(self):
-        f = flatten(7)
-        for z in range(1, f.length + 1):
-            assert f.sigma(*f.unsigma(z)) == z
-
-    def test_rejects_bad_pair(self):
-        with pytest.raises(InputError):
-            flatten(4).sigma(3, 3)
+    return g, ResponseModel(part, mc, budget, sc.cut_size)
 
 
 class TestMceic:
@@ -70,9 +50,9 @@ class TestMceic:
                              (3, 4): 1.0, (3, 5): 4.0})
         part = components(g, [])
         mc = mceic_matrix(g, part)
-        assert mc.pair_cost(1, 2) == 2.0
-        assert mc.pair_endpoint(1, 2) == (2, 3)
-        assert mc.pair_cost(2, 3) == 1.0
+        assert mc.cost[1, 2] == 2.0
+        assert mc.endpoint[1, 2] == (2, 3)
+        assert mc.cost[2, 3] == 1.0
 
     def test_missing_cross_cost_rejected(self):
         g = Graph(3, [(1, 2)])
@@ -84,7 +64,7 @@ class TestMceic:
                   link_cost={(1, 3): 2.0, (1, 4): 2.0, (2, 3): 2.0,
                              (2, 4): 2.0})
         mc = mceic_matrix(g, components(g, []))
-        assert mc.pair_endpoint(1, 2) == (1, 3)
+        assert mc.endpoint[1, 2] == (1, 3)
 
 
 class TestSolveResponse:
@@ -144,8 +124,7 @@ def singletons_model(s, budget=None, classes=None):
     g = Graph(s, [], link_cost={(i, j): 1.0 + 0.1 * ((i * j) % 7)
                                 for i, j in combinations(range(1, s + 1), 2)})
     part = components(g, [])
-    return ResponseModel(part, mceic_matrix(g, part), budget, 0,
-                         classes, classes is not None)
+    return ResponseModel(part, mceic_matrix(g, part), budget, 0, classes)
 
 
 class TestDegenerateAndCaps:
@@ -287,7 +266,7 @@ def response_models(draw, power=False):
     cut_size = draw(st.integers(0, 3))
     classes = classify_components(g, part) if power else None
     return ResponseModel(part, mceic_matrix(g, part), budget, cut_size,
-                         classes, power)
+                         classes)
 
 
 def same_plan(m):
@@ -382,7 +361,7 @@ class TestBudgetLimitedGroups:
         part = components(g, [])
         m = ResponseModel(part, mceic_matrix(g, part), None, rng.randint(0, 3))
         tree = solve_response(m)
-        costs = sorted(m.mceic.pair_cost(*p) for p in tree.selected)
+        costs = sorted(m.mceic.cost[p] for p in tree.selected)
         # budget -> the most links it buys
         most = {tree.total_cost: s - 1, tree.total_cost - 0.01: s - 2}
         for k in range(min(2, s - 1) + 1):
@@ -403,7 +382,7 @@ class TestBudgetLimitedGroups:
         offset = data.draw(st.sampled_from(TestFullMerge.OFFSETS))
         tree = solve_response(replace(m, budget=None))
         budget = 0.0
-        for c in sorted(m.mceic.pair_cost(*p) for p in tree.selected)[:k]:
+        for c in sorted(m.mceic.cost[p] for p in tree.selected)[:k]:
             budget += c
         budget += offset
         assume(budget >= 0)
@@ -420,8 +399,8 @@ class TestBudgetLimitedGroups:
         cost = {(1, 2): 1.0, (1, 3): 5.0, (1, 4): 5.0, (2, 3): 1.0,
                 (2, 4): 5.0, (3, 4): 0.5}
         mc = MceicMatrix(
-            4, cost, {(a, b): (part.components[a - 1][0],
-                               part.components[b - 1][0]) for a, b in cost})
+            cost, {(a, b): (part.components[a - 1][0],
+                            part.components[b - 1][0]) for a, b in cost})
         plan = same_plan(ResponseModel(part, mc, 1.5, 0))
         assert plan.selected == ((1, 2), (3, 4))
         assert plan.rupture == -4
@@ -441,12 +420,19 @@ class TestBudgetLimitedGroups:
         assert runs[1:] == [(1 << 17) - 1]
 
     def test_refused_level_is_never_priced(self, monkeypatch):
-        # a budget of 6.0 buys 6 links: the C(19, 7) = 50,388 groups of 7
-        # fit the cap and are all priced, since every level can still win,
-        # but the 27,132 groups of 6 would pass it
+        # 19 singletons whose cost-1.0 links are the pairs (2i - 1, 2i), all
+        # others 2.0: a budget of 6.0 buys 6 links, but a group of 7 holds
+        # at most 3 cost-1.0 links, so no tree of 7 fits and no incumbent
+        # sets a floor.  The C(19, 7) = 50,388 groups of 7 fit the cap and
+        # are all priced, but the 27,132 groups of 6 would pass it
+        s = 19
+        g = Graph(s, [], link_cost={
+            (i, j): 1.0 if i % 2 and j == i + 1 else 2.0
+            for i, j in combinations(range(1, s + 1), 2)})
+        part = components(g, [])
         runs = priced_groups(monkeypatch)
         with pytest.raises(SizeLimitError, match="77520"):
-            solve_response(singletons_model(19, budget=6.0))
+            solve_response(ResponseModel(part, mceic_matrix(g, part), 6.0, 0))
         groups = runs[1:]
         assert len(groups) == math.comb(19, 7) <= SOLVER_MAX_GROUPS
         assert {g.bit_count() for g in groups} == {7}
@@ -474,8 +460,8 @@ class TestPowerConstraint:
         part = components(g, [])
         mc = mceic_matrix(g, part)
         classes = classify_components(g, part)
-        free = ResponseModel(part, mc, 2.0, 0, classes, False)
-        constrained = replace(free, power_constraint=True)
+        free = ResponseModel(part, mc, 2.0, 0)
+        constrained = replace(free, component_class=classes)
         plan_free = solve_response(free)
         plan_pc = solve_response(constrained)
         assert plan_free.links == ((3, 4),)
@@ -493,7 +479,7 @@ class TestPowerConstraint:
         mc = mceic_matrix(g, part)
         classes = classify_components(g, part)
         for budget in (1.5, 3.0, None):
-            m = ResponseModel(part, mc, budget, 0, classes, True)
+            m = ResponseModel(part, mc, budget, 0, classes)
             check_response_oracle(m, solve_response(m))
 
     def test_seeded_plans_match_subset_enumeration(self):
@@ -510,8 +496,7 @@ class TestPowerConstraint:
             part = components(g, [])
             m = ResponseModel(part, mceic_matrix(g, part),
                               rng.choice([1.0, 2.0, 3.0, None]),
-                              rng.randint(0, 3), classify_components(g, part),
-                              True)
+                              rng.randint(0, 3), classify_components(g, part))
             check_response_oracle(m, solve_response(m))
 
 
