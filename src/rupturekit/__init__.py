@@ -9,7 +9,6 @@ from .attack import (
     solve_attack,
 )
 from .cuts import (
-    Cover,
     KnapsackConstraint,
     LiftedCoverCut,
     compute_abar,

@@ -18,6 +18,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError
 from .graph import (
+    BUDGET_TOL,
     ComponentPartition,
     CutSet,
     Graph,
@@ -32,9 +33,6 @@ from .graph import (
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-
-# budget tolerance, the same as the enumeration oracle's
-BUDGET_TOL = 1e-9
 
 
 @dataclass(frozen=True)

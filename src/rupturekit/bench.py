@@ -307,9 +307,7 @@ def check_response_oracle(rm: ResponseModel, plan: ReconstructionPlan) -> None:
     )
 
 
-def sweep_budget(
-    inst: InstanceFile, grid: Sequence[float], name: str = "instance"
-) -> list[str]:
+def sweep_budget(inst: InstanceFile, grid: Sequence[float]) -> list[str]:
     """CSV rows (budget, links_added, resilience, robustness) for a grid of
     response budgets against the fixed worst-case attack."""
     model, attack_res = attack_stage(inst)

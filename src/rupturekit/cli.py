@@ -154,7 +154,7 @@ def sweep(instance, grid):
     """Emit the budget-sweep CSV for one instance."""
     inst = _load(instance)
     values = [_parse_budget(tok.strip()) for tok in grid.split(",")]
-    for row in bench.sweep_budget(inst, values, Path(instance).name):
+    for row in bench.sweep_budget(inst, values):
         click.echo(row)
 
 

@@ -1,8 +1,10 @@
 """Knapsack cover machinery: minimal covers, cover inequalities, threshold
-lifting, and a brute-force validity verifier.
+lifting, and an exact validity check.
 
-Every lifted cut is passed through :func:`verify_cut` before use; a cut that
-fails verification is downgraded to its plain cover inequality and logged.
+A cover is a frozenset of 1-based item indices.  Every lifted cut is passed
+through :func:`verify_cut`, a dynamic program over the cut's left-hand side,
+before use; a cut that fails verification is downgraded to its plain cover
+inequality and logged.
 """
 
 from __future__ import annotations
@@ -47,12 +49,6 @@ class KnapsackConstraint:
 
 
 @dataclass(frozen=True)
-class Cover:
-    indices: frozenset[int]
-    minimal: bool
-
-
-@dataclass(frozen=True)
 class LiftedCoverCut:
     """sum_j coeffs[j-1] x_j <= rhs, valid for the knapsack polytope."""
 
@@ -94,7 +90,8 @@ def _integer_scale(values: Sequence[float], max_denominator: int = 10**6) -> Opt
     return scale
 
 
-def find_cover(k: KnapsackConstraint, order: Optional[Sequence[int]] = None) -> Optional[Cover]:
+def find_cover(k: KnapsackConstraint,
+               order: Optional[Sequence[int]] = None) -> Optional[frozenset[int]]:
     """Greedy minimal cover: add items in descending weight (or the given
     index order) until the capacity is exceeded, then peel back to minimality.
 
@@ -115,7 +112,7 @@ def find_cover(k: KnapsackConstraint, order: Optional[Sequence[int]] = None) -> 
         if total - k.coeff(j) > k.capacity + TOL:
             chosen.remove(j)
             total -= k.coeff(j)
-    return Cover(frozenset(chosen), minimal=True)
+    return frozenset(chosen)
 
 
 def is_cover(k: KnapsackConstraint, indices: frozenset[int]) -> bool:
@@ -129,15 +126,13 @@ def is_minimal_cover(k: KnapsackConstraint, indices: frozenset[int]) -> bool:
     return all(total - k.coeff(j) <= k.capacity + TOL for j in indices)
 
 
-def cover_inequality(c: Cover, n: int) -> LiftedCoverCut:
+def cover_inequality(cover: frozenset[int], n: int) -> LiftedCoverCut:
     """Plain cover inequality: sum_{j in C} x_j <= |C|-1."""
-    coeffs = tuple(1 if j in c.indices else 0 for j in range(1, n + 1))
-    return LiftedCoverCut(
-        coeffs, len(c.indices) - 1, 0.0, frozenset(c.indices), frozenset(c.indices)
-    )
+    coeffs = tuple(1 if j in cover else 0 for j in range(1, n + 1))
+    return LiftedCoverCut(coeffs, len(cover) - 1, 0.0, cover, cover)
 
 
-def compute_abar(k: KnapsackConstraint, c: Cover) -> float:
+def compute_abar(k: KnapsackConstraint, cover: frozenset[int]) -> float:
     """Unique positive threshold with sum_{j in C} min(a_j, abar) = b.
 
     Solved on the sorted piecewise-linear sum; exact rational arithmetic is
@@ -145,15 +140,15 @@ def compute_abar(k: KnapsackConstraint, c: Cover) -> float:
     The boundary case sum(a_C) = b is accepted and yields the smallest
     solution, max(a_C).
     """
-    if sum(k.coeff(j) for j in c.indices) < k.capacity - TOL:
+    if sum(k.coeff(j) for j in cover) < k.capacity - TOL:
         raise InputError("index set is not a cover")
-    data = [k.coeff(j) for j in c.indices] + [k.capacity]
+    data = [k.coeff(j) for j in cover] + [k.capacity]
     scale = _integer_scale(data)
     if scale is not None:
-        a = sorted(Fraction(round(k.coeff(j) * scale), scale) for j in c.indices)
+        a = sorted(Fraction(round(k.coeff(j) * scale), scale) for j in cover)
         b = Fraction(round(k.capacity * scale), scale)
     else:
-        a = sorted(Fraction(k.coeff(j)) for j in c.indices)
+        a = sorted(Fraction(k.coeff(j)) for j in cover)
         b = Fraction(k.capacity)
     # with abar in (a[t-1], a[t]]: sum = prefix(t) + abar * (|C| - t)
     prefix = Fraction(0)
@@ -167,16 +162,16 @@ def compute_abar(k: KnapsackConstraint, c: Cover) -> float:
     raise AssertionError("no threshold found for a proper cover")
 
 
-def _partial_sums(k: KnapsackConstraint, c: Cover, abar: float) -> list[float]:
+def _partial_sums(k: KnapsackConstraint, cover: frozenset[int], abar: float) -> list[float]:
     """S(r): sum of the r largest min(a_j, abar) over C, S(0)=0."""
-    vals = sorted((min(k.coeff(j), abar) for j in c.indices), reverse=True)
+    vals = sorted((min(k.coeff(j), abar) for j in cover), reverse=True)
     sums = [0.0]
     for v in vals:
         sums.append(sums[-1] + v)
     return sums
 
 
-def lift_cover(k: KnapsackConstraint, c: Cover) -> LiftedCoverCut:
+def lift_cover(k: KnapsackConstraint, cover: frozenset[int]) -> LiftedCoverCut:
     """Threshold lifting of a minimal cover.
 
     Coefficient 1 on C- = {j in C : a_j <= abar}; every other index k gets
@@ -186,11 +181,11 @@ def lift_cover(k: KnapsackConstraint, c: Cover) -> LiftedCoverCut:
     result is always checked by verify_cut; on failure the plain cover
     inequality is returned instead.
     """
-    if not is_minimal_cover(k, c.indices):
+    if not is_minimal_cover(k, cover):
         raise InputError("lift_cover requires a minimal cover")
-    abar = compute_abar(k, c)
-    cminus = frozenset(j for j in c.indices if k.coeff(j) <= abar + TOL)
-    sums = _partial_sums(k, c, abar)
+    abar = compute_abar(k, cover)
+    cminus = frozenset(j for j in cover if k.coeff(j) <= abar + TOL)
+    sums = _partial_sums(k, cover, abar)
     coeffs = []
     for j in range(1, k.size + 1):
         if j in cminus:
@@ -203,38 +198,43 @@ def lift_cover(k: KnapsackConstraint, c: Cover) -> LiftedCoverCut:
                 gamma = g
                 break
         coeffs.append(gamma)
-    cut = LiftedCoverCut(tuple(coeffs), len(c.indices) - 1, abar,
-                         frozenset(c.indices), cminus)
+    cut = LiftedCoverCut(tuple(coeffs), len(cover) - 1, abar, cover, cminus)
     cut = verify_cut(k, cut)
     if cut.verified:
         return cut
     log.warning(
         "lifted cut failed verification for a=%s b=%s C=%s; falling back to CI",
-        k.coeffs, k.capacity, sorted(c.indices),
+        k.coeffs, k.capacity, sorted(cover),
     )
-    return verify_cut(k, cover_inequality(c, k.size))
+    return verify_cut(k, cover_inequality(cover, k.size))
 
 
 def verify_cut(k: KnapsackConstraint, cut: LiftedCoverCut) -> LiftedCoverCut:
-    """Enumerate every knapsack-feasible binary point and confirm none
-    violates the cut; also records coefficient-wise dominance over the plain
-    CI of the same cover.
-
+    """Confirm that no knapsack-feasible binary point violates the cut, and
+    record coefficient-wise dominance over the plain CI of the same cover.
     Returns a copy of the cut with `verified` and `dominates_ci` set.
+
+    Walking the items in index order, least[p] is the least weight (summed
+    in index order) of a 0/1 point on the items seen so far with left side
+    p; states over capacity + TOL are dropped.  The cut is violated exactly
+    when a state, the empty point's p = 0 included, has p > rhs + TOL.  This
+    is the verdict of enumerating all 2^n points, float sums included: a
+    point extended by zeros keeps its weight and left side, and float
+    rounding is monotone, so the minimum commutes with adding the next
+    weight (and a fitting point's prefixes fit).  A lifted cover cut has
+    nonnegative integer coefficients: at most rhs + 1 <= n states, O(n^2).
     """
     n = k.size
     if n > VERIFY_MAX_VARS:
         raise SizeLimitError(f"verify_cut limited to {VERIFY_MAX_VARS} variables, got {n}")
-    # imported here so that importing rupturekit does not load numpy
-    import numpy as np
-
-    weights = np.zeros(1)
-    lhs = np.zeros(1)
-    for j in range(n):
-        weights = np.concatenate([weights, weights + k.coeffs[j]])
-        lhs = np.concatenate([lhs, lhs + cut.coeffs[j]])
-    feasible = weights <= k.capacity + TOL
-    ok = not bool(np.any(feasible & (lhs > cut.rhs + TOL)))
+    limit = k.capacity + TOL
+    least = {0: 0.0}
+    for a, c in zip(k.coeffs, cut.coeffs):
+        for p, w in list(least.items()):
+            w += a
+            if w <= limit and w < least.get(p + c, math.inf):
+                least[p + c] = w
+    ok = max(least) <= cut.rhs + TOL
     ci = [1 if j in cut.cover else 0 for j in range(1, n + 1)]
     dominates = ok and all(c >= ref for c, ref in zip(cut.coeffs, ci))
     return LiftedCoverCut(
@@ -250,13 +250,13 @@ def cuts_for_knapsack(k: KnapsackConstraint) -> list[LiftedCoverCut]:
     cuts: list[LiftedCoverCut] = []
     for j in range(1, k.size + 1):
         if k.coeff(j) > k.capacity + TOL:
-            cuts.append(lift_cover(k, Cover(frozenset({j}), minimal=True)))
+            cuts.append(lift_cover(k, frozenset({j})))
     seen: set[frozenset[int]] = set()
     for order in (None, list(range(1, k.size + 1))):
         cover = find_cover(k, order)
-        if cover is None or cover.indices in seen:
+        if cover is None or cover in seen:
             continue
-        seen.add(cover.indices)
-        if all(k.coeff(j) <= k.capacity + TOL for j in cover.indices):
+        seen.add(cover)
+        if all(k.coeff(j) <= k.capacity + TOL for j in cover):
             cuts.append(lift_cover(k, cover))
     return [c for c in cuts if c.verified]

@@ -19,6 +19,9 @@ NODE_CLASSES = ("attackable", "intact", "generator", "hub", "load")
 
 DEFAULT_ENUMERATION_CAP = 22
 
+# budget tolerance of the enumeration oracle and the solvers
+BUDGET_TOL = 1e-9
+
 
 class Graph:
     """Simple undirected graph with per-node attack costs and pairwise
@@ -292,12 +295,11 @@ def worst_cut_oracle(
     costs = {v: g.attack_cost[v - 1] for v in pool}
     min_cost = min(costs.values(), default=0.0)
     best: Optional[tuple[int, int, tuple[int, ...]]] = None
-    tol = 1e-9
     for k in range(0, len(pool) + 1):
-        if k * min_cost > budget + tol:
+        if k * min_cost > budget + BUDGET_TOL:
             break
         for combo in combinations(pool, k):
-            if sum(costs[v] for v in combo) > budget + tol:
+            if sum(costs[v] for v in combo) > budget + BUDGET_TOL:
                 continue
             removed_mask = _nodes_to_mask(combo)
             alive = g._full_mask & ~removed_mask

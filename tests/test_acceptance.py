@@ -279,13 +279,13 @@ def test_criterion_9_budget_monotonicity(capsys, nine_node):
     for idx, inst in enumerate(gen_random(
             BenchConfig(seed=99, count=5, n_min=7, n_max=10))):
         grids[f"rand{idx}"] = (inst, [0.0, 1.0, 2.0, 3.0, math.inf])
-    for name, (inst, grid) in grids.items():
+    for inst, grid in grids.values():
         g = inst.to_graph()
         budget_a = inst.budget_attack if inst.budget_attack is not None else g.n // 2
         base = solve_attack(AttackModel(g, budget_a))
         if base.status != STATUS_OPTIMAL:
             continue
-        rows = sweep_budget(inst, grid, name)
+        rows = sweep_budget(inst, grid)
         res = [int(r.split(",")[2]) for r in rows[1:]]
         ok = ok and res == sorted(res)
         ok = ok and res[0] == base.score.resilience  # zero-budget row

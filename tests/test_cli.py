@@ -538,6 +538,17 @@ class TestCutsCommand:
         coeffs = [tuple(c["coeffs"]) for c in doc["cuts"]]
         assert (1, 1, 0, 1) in coeffs
 
+    def test_verify_cap(self, runner):
+        # 24 coefficients are verified, 25 are refused by the size guard
+        at_cap = runner.invoke(main, ["cuts", "--coeffs", "1 " * 24,
+                                      "--capacity", "11.5"])
+        assert at_cap.exit_code == 0, at_cap.output
+        assert json.loads(at_cap.output)["cuts"]
+        res = runner.invoke(main, ["cuts", "--coeffs", "1 " * 25,
+                                   "--capacity", "11.5"])
+        assert res.exit_code == 4
+        assert "verify_cut limited to 24 variables, got 25" in res.output
+
 
 class TestRuptureCommand:
     def test_score(self, runner, nine_node_path):

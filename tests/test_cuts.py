@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,8 @@ import pytest
 import rupturekit
 
 from rupturekit.cuts import (
-    Cover,
     KnapsackConstraint,
+    LiftedCoverCut,
     compute_abar,
     cover_inequality,
     cuts_for_knapsack,
@@ -55,41 +57,41 @@ class TestFindCover:
     def test_greedy_descending(self):
         k = KnapsackConstraint((4.0, 3.0, 3.0, 2.0), 6.0)
         c = find_cover(k)
-        assert is_minimal_cover(k, c.indices)
-        assert c.indices == frozenset({1, 2})
+        assert is_minimal_cover(k, c)
+        assert c == frozenset({1, 2})
 
     def test_no_cover(self):
         assert find_cover(KnapsackConstraint((1.0, 1.0), 5.0)) is None
 
     def test_equal_weights_tie_break(self):
         k = KnapsackConstraint((5.0, 5.0, 5.0), 9.0)
-        assert find_cover(k).indices == frozenset({1, 2})
+        assert find_cover(k) == frozenset({1, 2})
 
     def test_explicit_order(self):
         k = KnapsackConstraint((4.0, 3.0, 3.0, 6.0), 6.0)
-        assert find_cover(k, [1, 2, 3, 4]).indices == frozenset({1, 2})
+        assert find_cover(k, [1, 2, 3, 4]) == frozenset({1, 2})
 
     def test_peel_to_minimality(self):
         k = KnapsackConstraint((1.0, 1.0, 5.0), 5.0)
         c = find_cover(k, [1, 2, 3])
-        assert is_minimal_cover(k, c.indices)
+        assert is_minimal_cover(k, c)
 
 
 class TestAbar:
     def test_spec_value(self):
         # cover {2,4} of 3x2+6x4 <= 6: min(3,abar)+min(6,abar)=6 -> abar=3
         k = KnapsackConstraint((4.0, 3.0, 3.0, 6.0), 6.0)
-        assert compute_abar(k, Cover(frozenset({2, 4}), True)) == 3.0
+        assert compute_abar(k, frozenset({2, 4})) == 3.0
 
     def test_uniform_cover(self):
         k = KnapsackConstraint((5.0, 5.0, 5.0), 9.0)
-        assert compute_abar(k, Cover(frozenset({1, 2}), True)) == 4.5
+        assert compute_abar(k, frozenset({1, 2})) == 4.5
 
     def test_defining_identity(self):
         k = KnapsackConstraint((7.0, 2.0, 5.0, 4.0), 9.0)
         cover = find_cover(k)
         abar = compute_abar(k, cover)
-        assert sum(min(k.coeff(j), abar) for j in cover.indices) == pytest.approx(
+        assert sum(min(k.coeff(j), abar) for j in cover) == pytest.approx(
             k.capacity, abs=1e-9
         )
 
@@ -97,18 +99,18 @@ class TestAbar:
 class TestLifting:
     def test_cover_inequality_shape(self):
         k = KnapsackConstraint((4.0, 3.0, 3.0, 6.0), 6.0)
-        ci = cover_inequality(Cover(frozenset({1, 2}), True), k.size)
+        ci = cover_inequality(frozenset({1, 2}), k.size)
         assert ci.coeffs == (1, 1, 0, 0)
         assert ci.rhs == 1
 
     def test_lift_requires_minimal_cover(self):
         k = KnapsackConstraint((4.0, 3.0, 3.0, 6.0), 6.0)
         with pytest.raises(InputError):
-            lift_cover(k, Cover(frozenset({1, 2, 4}), False))
+            lift_cover(k, frozenset({1, 2, 4}))
 
     def test_lifted_dominates_ci(self):
         k = KnapsackConstraint((4.0, 3.0, 3.0, 6.0), 6.0)
-        cut = lift_cover(k, Cover(frozenset({1, 2}), True))
+        cut = lift_cover(k, frozenset({1, 2}))
         assert cut.coeffs == (1, 1, 0, 1)
         assert cut.rhs == 1
         assert cut.verified
@@ -116,7 +118,7 @@ class TestLifting:
 
     def test_lifted_cut_is_valid(self):
         k = KnapsackConstraint((4.0, 3.0, 3.0, 6.0), 6.0)
-        cut = lift_cover(k, Cover(frozenset({1, 2}), True))
+        cut = lift_cover(k, frozenset({1, 2}))
         for pt in feasible_points(k):
             assert sum(c * x for c, x in zip(cut.coeffs, pt)) <= cut.rhs
 
@@ -125,12 +127,10 @@ class TestLifting:
         # with cover {1,4} the partial sums are 3, 6 and a_2 = a_3 = 3, so
         # both outside coefficients stay 0 (raising either cuts (0,1,1,0))
         k = KnapsackConstraint((4.0, 3.0, 3.0, 6.0), 6.0)
-        cut = lift_cover(k, Cover(frozenset({1, 4}), True))
+        cut = lift_cover(k, frozenset({1, 4}))
         assert cut.coeffs == (1, 0, 0, 1)
 
     def test_verify_rejects_invalid(self):
-        from rupturekit.cuts import LiftedCoverCut
-
         k = KnapsackConstraint((4.0, 3.0, 3.0, 6.0), 6.0)
         bad = LiftedCoverCut((1, 1, 1, 1), 1, 3.0, frozenset({1, 4}),
                              frozenset())
@@ -161,9 +161,50 @@ class TestCutsForKnapsack:
         assert cuts_for_knapsack(KnapsackConstraint((1.0, 1.0), 9.0)) == []
 
 
+def _random_knapsack(rng, n):
+    kind = rng.randrange(4)
+    if kind == 0:
+        weights = [float(rng.randint(0, 9)) for _ in range(n)]
+    elif kind == 1:
+        weights = [round(rng.randint(0, 99) / 10, 1) for _ in range(n)]
+    elif kind == 2:
+        weights = [rng.uniform(0, 10) for _ in range(n)]
+    else:
+        weights = [rng.choice((0.0, 0.0, 0.1, 0.2, 0.3, 1.0)) for _ in range(n)]
+    total = sum(weights)
+    capacity = rng.choice((rng.uniform(0.05, max(total, 0.1)),
+                           round(rng.uniform(0.1, max(total, 0.2)), 1),
+                           float(rng.randint(1, 12))))
+    return KnapsackConstraint(tuple(weights), capacity)
+
+
+def test_verify_cut_matches_enumeration():
+    # the emitted cuts, each with rhs - 1, and random integer cuts with
+    # negative coefficients and right-hand sides, against all feasible points
+    rng = random.Random(23)
+    verdicts = []
+    for _ in range(120):
+        k = _random_knapsack(rng, rng.randint(0, 14))
+        points = list(feasible_points(k))
+        cuts = []
+        for cut in cuts_for_knapsack(k):
+            cuts += [cut, LiftedCoverCut(cut.coeffs, cut.rhs - 1, cut.abar,
+                                         cut.cover, cut.cminus)]
+        for _ in range(3):
+            coeffs = tuple(rng.randint(-2, 4) for _ in range(k.size))
+            cuts.append(LiftedCoverCut(coeffs, rng.randint(-2, k.size), 0.0,
+                                       frozenset(), frozenset()))
+        for cut in cuts:
+            valid = all(sum(itertools.compress(cut.coeffs, pt)) <= cut.rhs
+                        for pt in points)
+            assert verify_cut(k, cut).verified == valid, (k, cut)
+            verdicts.append(valid)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
 def test_import_leaves_numpy_unloaded():
-    # verify_cut imports numpy on first use, so a fresh interpreter that
-    # only imports rupturekit does not pay for it
+    # a fresh interpreter that imports rupturekit does not load numpy, and
+    # the cuts command runs where numpy cannot be imported at all
     src = str(Path(rupturekit.__file__).parent.parent)
     out = subprocess.run(
         [sys.executable, "-c",
@@ -171,3 +212,12 @@ def test_import_leaves_numpy_unloaded():
          "print('numpy' in sys.modules)", src],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); "
+         "sys.modules['numpy'] = None; from rupturekit.cli import main; "
+         "main(sys.argv[2:])", src,
+         "cuts", "--coeffs", "4 3 3 6", "--capacity", "6"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["cuts"]
