@@ -63,6 +63,8 @@ class AttackModel:
 
 @dataclass
 class SolverStats:
+    # search nodes visited; a removal that exhausts the budget and is
+    # scored in one step counts as one node
     nodes_explored: int = 0
     # always 0: the search applies no cuts; kept for the rupturekit-result/1
     # JSON, which emits it under "stats"
@@ -243,6 +245,22 @@ def solve_attack(model: AttackModel) -> AttackResult:
     The remove branch recurses and the keep branch loops, so the recursion
     depth is the number of removals plus one.
 
+    The last affordable removal is scored in one step.  When f + 1 = t0,
+    removing order[idx] leaves no further removal affordable, as t0 never
+    under-counts; so the removal has exactly one completion, in which
+    every node of order[idx + 1:] survives.  Its survivors are the kept
+    components joined through the components of the subgraph induced on
+    that suffix, which are built once per solve, from the end of the order
+    in one pass, each with its neighbour mask.  Kept components are
+    pairwise non-adjacent, and so are suffix components, so merging each
+    suffix component with the components it touches gives the exact w and
+    m.  The child's bound is tested first, and the completion is then
+    scored as a leaf.  Because the score is exact and the removal fits the
+    budget, scoring a completion that the walk would have pruned, by the
+    bound or by the dominance test below, cannot change the cut or its
+    tie-break.  If t0 over-counts, the step does not fire and the walk
+    goes on as before.
+
     The search starts from the incumbent `_neighbourhood_cut` builds, so
     it prunes from the first node.  Any budget-feasible cut will do: a
     subtree is cut off only when its bound cannot beat the incumbent, or
@@ -324,20 +342,87 @@ def solve_attack(model: AttackModel) -> AttackResult:
         for k in range(1, len(rows)):
             many_nbrs[t0 + 1 - k] = rows[k]
 
+    # suffix[idx]: the components of the subgraph induced on order[idx:],
+    # as (node mask, neighbour mask) pairs, built from the end; read only
+    # after the t0-th removal, so for t0 >= 1 and idx >= t0
+    suffix: list[list[tuple[int, int]]] = [[]] * (n_order + 1)
+    if t0:
+        for idx in range(n_order - 1, t0 - 1, -1):
+            merged = bits[idx]
+            merged_nbr = adj_v = adjs[idx]
+            parts = []
+            for c in suffix[idx + 1]:
+                if c[0] & adj_v:
+                    merged |= c[0]
+                    merged_nbr |= c[1]
+                else:
+                    parts.append(c)
+            parts.append((merged, merged_nbr))
+            suffix[idx] = parts
+
     # best = (rupture, |X|, sorted node tuple)
     best: list[Optional[tuple[int, int, tuple[int, ...]]]] = [
         _neighbourhood_cut(g, _nodes_to_mask(model.intact), limit)]
 
-    def leaf(removed_mask: int, comps: list[tuple[int, int]], m_k: int) -> None:
-        # every node is decided, so the survivors are exactly K
-        omega = len(comps)
-        if not (omega >= 2 or (omega == 1 and m_k == 1)):
+    def leaf(removed_mask: int, omega: int, m: int) -> None:
+        # a removal set whose survivors form omega components, the largest
+        # of m nodes
+        if not (omega >= 2 or (omega == 1 and m == 1)):
             return  # not a cut set
         size = removed_mask.bit_count()
-        cand = (-size - m_k + omega, size, tuple(_mask_to_nodes(removed_mask)))
+        rupture = -size - m + omega
         b = best[0]
-        if b is None or (-cand[0], cand[1], cand[2]) < (-b[0], b[1], b[2]):
-            best[0] = cand
+        # the incumbent wins on a higher rupture, then on fewer removals;
+        # the node tuple is built only when it does not
+        if b is not None and (rupture < b[0]
+                              or rupture == b[0] and size > b[1]):
+            return
+        nodes = tuple(_mask_to_nodes(removed_mask))
+        if b is None or rupture > b[0] or size < b[1] or nodes < b[2]:
+            best[0] = (rupture, size, nodes)
+
+    def last_removal(idx: int, removed_mask: int, spent: float,
+                     comps: list[tuple[int, int]], m_k: int, non_nbr_k: int,
+                     g_lo: int, last: int) -> None:
+        # the t0-th removal, which leaves no further removal affordable:
+        # its one completion keeps order[idx:], so its survivors are the
+        # kept components joined through the components of that suffix.
+        # One search node, tested first with the bound its dfs call would
+        # test at entry.  It takes dfs's arguments, so that the remove
+        # branch calls either; `spent` and `last` go unused.
+        stats.nodes_explored += 1
+        b = best[0]
+        if b is not None:
+            u = undecided[idx] & non_nbr_k
+            w = (len(comps) + u.bit_count()
+                 - (((u & many_nbrs[t0][idx]).bit_count() + 1) >> 1))
+            lo = t0 + m_k
+            bound = w - (lo if lo > g_lo else g_lo)
+            if bound < b[0] or (bound == b[0] and t0 > b[1]):
+                return
+        # kept components are pairwise non-adjacent, and so are suffix
+        # components, so merging each suffix component with the kept and
+        # merged components it touches gives the survivors' components
+        kept = ~(removed_mask | undecided[idx])
+        masks = [c[0] for c in comps]
+        omega = 0
+        m = m_k
+        for s_mask, s_nbr in suffix[idx]:
+            if s_nbr & kept:
+                rest = []
+                for c in masks:
+                    if c & s_nbr:
+                        s_mask |= c
+                    else:
+                        rest.append(c)
+                rest.append(s_mask)
+                masks = rest
+            else:
+                omega += 1
+            size = s_mask.bit_count()
+            if size > m:
+                m = size
+        leaf(removed_mask, omega + len(masks), m)
 
     def dfs(idx: int, removed_mask: int, spent: float,
             comps: list[tuple[int, int]], m_k: int, non_nbr_k: int,
@@ -354,7 +439,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
         # XOR takes them out of it.
         first_idx = idx
         f = removed_mask.bit_count()
-        many = many_nbrs[f]
+        many, remove = levels[f]
         alive = uncovered = ~removed_mask
         while True:
             b = best[0]
@@ -386,15 +471,16 @@ def solve_attack(model: AttackModel) -> AttackResult:
                 if bound < b[0] or (bound == b[0] and f > b[1]):
                     break
             if idx == n_order:
-                leaf(removed_mask, comps, m_k)
+                # every node is decided, so the survivors are exactly K
+                leaf(removed_mask, len(comps), m_k)
                 break
             bit = bits[idx]
             adj_v = adjs[idx]
             # branch: remove order[idx]
             new_spent = spent + costs[idx]
             if new_spent <= limit and adj_v & uncovered:
-                dfs(idx + 1, removed_mask | bit, new_spent, comps, m_k,
-                    non_nbr_k, g_lo, adj_v)
+                remove(idx + 1, removed_mask | bit, new_spent, comps, m_k,
+                       non_nbr_k, g_lo, adj_v)
             # branch: keep order[idx], merged with every kept component it
             # touches
             merged = bit
@@ -422,6 +508,11 @@ def solve_attack(model: AttackModel) -> AttackResult:
                 break
         stats.nodes_explored += idx - first_idx + 1
 
+    # per removal count f: the rows of the bound's H term, and the call
+    # that makes the next removal, which scores the t0-th in one step
+    levels = [(many_nbrs[f], last_removal if f + 1 == t0 else dfs)
+              for f in range(n_order + 1)]
+
     always_kept = model.intact | fixed
     comps = []
     for c in _component_masks(adj, _nodes_to_mask(always_kept)):
@@ -436,9 +527,10 @@ def solve_attack(model: AttackModel) -> AttackResult:
         m_k = max(m_k, c.bit_count())
         g_lo = max(g_lo, c.bit_count() + (c_nbr & undecided[0]).bit_count())
     dfs(0, 0, 0.0, comps, m_k, ~nbr, g_lo, -1)
-    # dfs holds itself through its closure; unbinding it frees the search
-    # state now instead of at a later cyclic garbage collection
-    del dfs
+    # dfs holds itself and levels through its closure; unbinding both
+    # frees the search state now instead of at a later cyclic garbage
+    # collection
+    del dfs, levels
     t_all = _max_removals(cost, limit)
     if t_all is None or t_all >= g.n - 1:
         # the single-survivor cuts V \ {u}, the only optima the search may
@@ -457,7 +549,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
                         break
             else:
                 bit = 1 << (u - 1)
-                leaf(g._full_mask & ~bit, [(bit, adj[u])], 1)
+                leaf(g._full_mask & ~bit, 1, 1)
     stats.wall_time = time.perf_counter() - start
 
     if best[0] is None:

@@ -22,7 +22,7 @@ from .attack import (
     solve_attack,
 )
 from .errors import InfeasibleError, InputError, OracleMismatchError
-from .graph import Graph, worst_cut_oracle
+from .graph import Graph, _nodes_to_mask, _survivor_stats, worst_cut_oracle
 from .model_io import InstanceFile
 from .response import (
     MceicMatrix,
@@ -307,6 +307,40 @@ def check_response_oracle(rm: ResponseModel, plan: ReconstructionPlan) -> None:
     )
 
 
+def _nested_reattack(
+    g: Graph, plan: ReconstructionPlan, model: AttackModel,
+    solved: dict[frozenset[tuple[int, int]], AttackResult],
+) -> AttackResult:
+    """The re-attack of `plan`: the answer of a solved link subset when it
+    still holds, else a solve.  `solved` maps link sets to their exact
+    re-attack results on g under `model`'s budget and attackable set.
+
+    Take solved links L and the plan's links L' with L a subset of L'.
+    Adding links never raises a removal set's rupture -|X| - m + w, since
+    components only merge: w does not grow and m does not shrink.  Nor
+    does it turn a non-cut into a cut: a non-cut leaves no survivor or one
+    component of two nodes or more, and so it does with more links.  The
+    budget and the attackable set are shared, so every budget-feasible cut Y
+    of g + L' is one of g + L, with r'(Y) <= r(Y) <= r(X) for L's worst
+    cut X.  If X leaves as many components on g + L' as on g + L, no link
+    of L' joins two of them: X keeps its components, so its rupture and
+    its cut status, and it is optimal on g + L'.  Any Y that ties it has
+    r(Y) = r(X) too, so it loses the cardinality-then-lex tie-break on
+    g + L' as it does on g + L.  Hence X is g + L''s answer, tie-break
+    included.  And if L has no feasible cut, neither has L'."""
+    rebuilt = rebuilt_model(g, plan, model)
+    links = frozenset(plan.links)
+    for key, res in solved.items():
+        if not key <= links:
+            continue
+        if res.status != STATUS_OPTIMAL:
+            return AttackResult(STATUS_INFEASIBLE)
+        mask = _nodes_to_mask(res.cut.nodes)
+        if _survivor_stats(rebuilt.graph, mask)[1] == res.score.count:
+            return scored_cut(rebuilt.graph, res.cut.nodes)
+    return solve_attack(rebuilt)
+
+
 def sweep_budget(inst: InstanceFile, grid: Sequence[float]) -> list[str]:
     """CSV rows (budget, links_added, resilience, robustness) for a grid of
     response budgets against the fixed worst-case attack."""
@@ -317,7 +351,8 @@ def sweep_budget(inst: InstanceFile, grid: Sequence[float]) -> list[str]:
     mc = mceic_matrix(g, attack_res.partition)
     rows = [SWEEP_CSV_HEADER]
     # budgets that buy the same links rebuild the same network, and the
-    # empty plan leaves the attacked one, which stage one already solved
+    # empty plan leaves the attacked one, which stage one already solved;
+    # a plan holding a solved link set may keep that set's answer
     dynamic: dict[frozenset[tuple[int, int]], AttackResult] = {}
     if not inst.given_cut:
         dynamic[frozenset()] = attack_res
@@ -326,7 +361,7 @@ def sweep_budget(inst: InstanceFile, grid: Sequence[float]) -> list[str]:
         key = frozenset(plan.links)
         dyn = dynamic.get(key)
         if dyn is None:
-            dyn = dynamic[key] = dynamic_worst_cut(g, plan, model)
+            dyn = dynamic[key] = _nested_reattack(g, plan, model, dynamic)
         robustness = dyn.score.cut_size if dyn.score is not None else 0
         label = "unlimited" if math.isinf(b) else f"{b:.6f}"
         rows.append(

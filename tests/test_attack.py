@@ -334,6 +334,90 @@ class TestBudgetAwareBound:
                         assert (k < len(rows)) == bool(want)
 
 
+class TestLastRemoval:
+    """A removal that leaves no further removal affordable, the t0-th, has
+    one completion: every undecided node survives.  The search scores it in
+    one step, joining the kept components through the components of the
+    undecided suffix.  These cases place t0 where it is exact, where it
+    over-counts, at zero and where it is unbounded."""
+
+    # (attack cost palette, budgets)
+    CASES = {
+        "unit": ((1.0,), (1.0, 2.0, 3.0)),
+        # float sums of the palette that sit at the budget: t0 counts
+        # removals at 0.1, which costlier nodes do not reach
+        "fractional": ((0.1, 0.2, 0.3), (0.1 + 0.2, 0.1 + 0.2 + 0.3,
+                                         0.3 + 0.3, 0.2 + 0.2 + 0.2)),
+        # t0 = 4 over-counts whenever a node of cost 3 is removed
+        "one-three": ((1.0, 3.0), (4.0,)),
+        # a zero cost among the branched nodes leaves t0 unbounded, so the
+        # step never fires; the few draws without one fire it
+        "zeros": ((0.0, 1.0), (1.0, 2.0)),
+    }
+
+    @staticmethod
+    def sparse_graph(rng, n, costs):
+        """A tree with at most two extra edges: the undecided suffix falls
+        into several components."""
+        config = BenchConfig(seed=rng.randrange(10**6), count=1, n_min=n,
+                             n_max=n, edge_count=n - 1 + rng.randint(0, 2))
+        return Graph(n, gen_random(config)[0].edges, attack_cost=costs)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_oracle(self, name):
+        palette, budgets = self.CASES[name]
+        rng = random.Random(name)
+        for i in range(48):
+            n = rng.randint(6, 12)
+            costs = [rng.choice(palette) for _ in range(n)]
+            if i % 3 == 2:
+                config = BenchConfig(seed=rng.randrange(10**6), count=1,
+                                     n_min=n, n_max=n, edge_count=2 * n)
+                g = Graph(n, gen_random(config)[0].edges, attack_cost=costs)
+            else:
+                g = self.sparse_graph(rng, n, costs)
+            # intact nodes seed the kept components before the search
+            attackable = frozenset()
+            if i % 2:
+                attackable = frozenset(rng.sample(range(1, n + 1),
+                                                  rng.randint(n // 2, n - 1)))
+            assert_matches_oracle(g, rng.choice(budgets), attackable)
+
+    def test_t0_over_counts(self):
+        # costs {1, 3} at budget 4: the count t0 = 4 fits only unit costs,
+        # so a removal of cost 3 leaves t0 unreached and the walk goes on
+        g = Graph(8, path_graph(8).edges,
+                  attack_cost=(1.0, 3.0, 1.0, 3.0, 1.0, 1.0, 3.0, 1.0))
+        assert _max_removals(list(g.attack_cost), 4.0 + BUDGET_TOL) == 4
+        assert_matches_oracle(g, 4.0)
+        assert_matches_oracle(g, 4.0, frozenset({2, 3, 5, 6, 7}))
+
+    def test_budget_below_least_cost(self):
+        # t0 == 0: no removal fits, so no removal is the last one
+        rng = random.Random(3)
+        for _ in range(10):
+            g = self.sparse_graph(rng, rng.randint(4, 9), None)
+            assert _max_removals([1.0] * g.n, 0.5 + BUDGET_TOL) == 0
+            res = solve_attack(AttackModel(g, 0.5))
+            assert res.status == STATUS_INFEASIBLE
+            assert worst_cut_oracle(g, 0.5) is None
+
+    @pytest.mark.parametrize("n,edges,budget,attackable", [
+        # C4 at budget 1: every one-node removal leaves a path, not a cut
+        (4, [(1, 2), (2, 3), (3, 4), (1, 4)], 1.0, None),
+        # C6 at budget 2: opposite nodes leave two paths of two
+        (6, [(v, v % 6 + 1) for v in range(1, 7)], 2.0, None),
+        # a 5-cycle with a pendant path, the pendant end intact
+        (7, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (5, 6), (6, 7)], 2.0,
+         frozenset({1, 2, 3, 4, 5, 6})),
+        # two triangles joined by a path: kept components on both sides
+        (8, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8),
+             (7, 8)], 1.0, None),
+    ], ids=["C4", "C6", "cycle-pendant-intact", "triangles-path"])
+    def test_small_cases(self, n, edges, budget, attackable):
+        assert_matches_oracle(Graph(n, edges), budget, attackable)
+
+
 class TestSearchCounter:
     def test_nodes_explored_pinned(self):
         # exact and deterministic; 33,334 nodes with the bound that counted
@@ -344,40 +428,44 @@ class TestSearchCounter:
         # count of new components, 2,738 before the search started from
         # the neighbourhood-cut incumbent, 2,707 with the pigeonhole term,
         # 2,775 before separator dominance pruned removals whose surviving
-        # neighbours can only end up in one component (same cut).
+        # neighbours can only end up in one component, 1,877 while a
+        # removal that exhausts the budget was walked to its leaf one keep
+        # at a time rather than scored as one node (same cut).
         # A looser bound or a worse initial incumbent raises this count.
         inst = gen_random(BenchConfig(seed=7, count=1, n_min=20, n_max=20))[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 7, 11, 16, 17, 19})
-        assert res.stats.nodes_explored == 1877
+        assert res.stats.nodes_explored == 1875
 
     def test_dense_budget_four_pinned(self):
         # 3n edges at budget 4, the attack benchmark's shape: 58,882 nodes
         # without the pigeonhole term, 7,724 without the frontier term,
         # 2,721 without the budget-aware count of new components, 1,925
         # without the neighbourhood-cut incumbent, 1,301 without separator
-        # dominance (same cut)
+        # dominance, 977 while a removal that exhausts the budget was a
+        # walk to its leaf, not one scored node (same cut)
         config = BenchConfig(seed=0, count=1, n_min=26, n_max=26,
                              edge_count=78, budget_attack=4.0)
         inst = gen_random(config)[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 19, 22, 26})
         assert res.score.rupture == -21
-        assert res.stats.nodes_explored == 977
+        assert res.stats.nodes_explored == 567
 
     def test_reach_budget_four_pinned(self):
         # an instance of the reach probe (gen_random defaults, n 30-44) at
         # budget 4: 63,006 nodes without the frontier term, 10,004 without
         # the budget-aware count of new components, 8,612 without the
-        # neighbourhood-cut incumbent, 7,465 without separator dominance
-        # (same cut)
+        # neighbourhood-cut incumbent, 7,465 without separator dominance,
+        # 5,133 while a removal that exhausts the budget was a walk to its
+        # leaf, not one scored node (same cut)
         config = BenchConfig(seed=3, count=1, n_min=30, n_max=44)
         inst = gen_random(config)[0]
         assert inst.n == 33
         res = solve_attack(AttackModel(inst.to_graph(), 4.0))
         assert res.cut.nodes == frozenset({5, 7, 17, 28})
         assert res.score.rupture == -24
-        assert res.stats.nodes_explored == 5133
+        assert res.stats.nodes_explored == 2101
 
 
 def clique_edges(k):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from rupturekit import bench, response
-from rupturekit.attack import solve_attack
+from rupturekit.attack import STATUS_INFEASIBLE, AttackModel, solve_attack
 from rupturekit.bench import (
     PIPELINE_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -199,6 +199,45 @@ class TestSweep:
         # budgets 0 and 0.5 buy no link and reuse the first-stage attack
         assert [r.split(",")[1] for r in rows[1:3]] == ["0", "0"]
         assert attacked.count(inst.edges) == 1
+
+    def test_nested_plan_keeps_a_solved_worst_cut(self, monkeypatch):
+        # a plan whose links hold a solved link set keeps that set's worst
+        # cut when the cut leaves as many components on the rebuilt
+        # network; every answer, reused or solved, is that network's own
+        inst = gen_random(BenchConfig(seed=0, count=1, n_min=13, n_max=13))[0]
+        grid = [0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 9.0, math.inf]
+        answers = []
+        real = bench._nested_reattack
+
+        def recording(g, plan, model, solved):
+            res = real(g, plan, model, solved)
+            answers.append((g, plan, model, res))
+            return res
+
+        monkeypatch.setattr(bench, "_nested_reattack", recording)
+        attacked = self.attacked_edge_sets(monkeypatch)
+        sweep_budget(inst, grid)
+        # one call per distinct nonempty link set, and fewer solves
+        assert len(answers) == 5
+        assert len(attacked) - 1 == 4
+        for g, plan, model, res in answers:
+            want = solve_attack(response.rebuilt_model(g, plan, model))
+            assert (res.status, res.cut.nodes, res.score.rupture) == (
+                want.status, want.cut.nodes, want.score.rupture)
+
+    def test_infeasible_subset_answers_its_supersets(self, monkeypatch):
+        # a link set with no feasible cut leaves none for a plan holding it,
+        # so no solve is made
+        g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+        model = AttackModel(g, 0.5)
+        solved = {frozenset(): solve_attack(model)}
+        assert solved[frozenset()].status == STATUS_INFEASIBLE
+        plan = response.ReconstructionPlan((), ((1, 3),), 1.0,
+                                           components(g, []), 0)
+        attacked = self.attacked_edge_sets(monkeypatch)
+        res = bench._nested_reattack(g, plan, model, solved)
+        assert res.status == STATUS_INFEASIBLE
+        assert attacked == []
 
     def test_designated_reattacks_the_empty_plan(self, monkeypatch):
         # a given cut is scored, not solved, so the unchanged network is
