@@ -26,9 +26,9 @@ from .graph import (
     _component_masks,
     _mask_to_nodes,
     _nodes_to_mask,
+    _partition,
+    _score_masks,
     _survivor_stats,
-    components,
-    rupture_score,
 )
 
 STATUS_OPTIMAL = "optimal"
@@ -94,9 +94,9 @@ def scored_cut(g: Graph, nodes: Iterable[int],
     cut, or one given by the instance or the user.  A non-cut is scored
     too, with is_cut False."""
     nodes = frozenset(nodes)
-    score = rupture_score(g, nodes)
+    score, masks = _score_masks(g, nodes)
     return AttackResult(STATUS_OPTIMAL, CutSet(nodes, score.is_cut), score,
-                        components(g, nodes), stats or SolverStats())
+                        _partition(masks), stats or SolverStats())
 
 
 def _is_simplicial(adj: list[int], v: int) -> bool:

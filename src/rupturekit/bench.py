@@ -21,7 +21,12 @@ from .attack import (
     scored_cut,
     solve_attack,
 )
-from .errors import InfeasibleError, InputError, OracleMismatchError
+from .errors import (
+    InfeasibleError,
+    InputError,
+    OracleMismatchError,
+    SizeLimitError,
+)
 from .graph import Graph, _nodes_to_mask, _survivor_stats, worst_cut_oracle
 from .model_io import InstanceFile
 from .response import (
@@ -45,6 +50,12 @@ PIPELINE_CSV_HEADER = (
     "res_initial,res_reconstructed,x_dyn_size,res_dynamic"
 )
 SWEEP_CSV_HEADER = "budget,links_added,resilience,robustness"
+
+# Link subsets power_subset_optimum may enumerate, counted before it starts
+# (see power_subset_count).  It took 4-15 us a subset at s=6-7 on a 2-core
+# Xeon with Python 3.11 (31.5 s for all 2^21 at s=7), so the cap keeps a
+# check within about a second.
+ORACLE_MAX_SUBSETS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -230,13 +241,31 @@ def check_attack_oracle(model: AttackModel, res: AttackResult) -> None:
         )
 
 
+def power_subset_count(m: ResponseModel) -> int:
+    """A bound on the link subsets power_subset_optimum enumerates:
+    sum over k <= t of C(p, k), with p the MCEIC pairs and t the most
+    links the budget buys at the least MCEIC cost."""
+    p = len(m.mceic.cost)
+    least = min(m.mceic.cost.values(), default=0.0)
+    limit = m.effective_budget + BUDGET_TOL
+    t = p if least == 0 or math.isinf(limit) else min(p, int(limit // least))
+    return sum(math.comb(p, k) for k in range(t + 1))
+
+
 def power_subset_optimum(m: ResponseModel) -> tuple[int, float]:
     """The least (rupture, total cost rounded to 9 decimals) over every
     subset of the MCEIC pairs that fits the budget and passes the power
     rule, cycles included, so it also tests that forests suffice.  The
     subsets are pruned by budget in pair order and their merged groups
     found by union-find: no search is shared with the power-rule solver,
-    the forest enumeration of brute_force_response."""
+    the forest enumeration of brute_force_response.
+
+    Raises SizeLimitError, before any enumeration, when power_subset_count
+    passes ORACLE_MAX_SUBSETS."""
+    subsets = power_subset_count(m)
+    if subsets > ORACLE_MAX_SUBSETS:
+        raise SizeLimitError(f"{subsets} link subsets exceed the oracle cap "
+                             f"{ORACLE_MAX_SUBSETS}")
     s = m.partition.count
     sizes = m.partition.sizes
     pairs = list(combinations(range(1, s + 1), 2))

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, starmap
-from operator import itemgetter, lt
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, SizeLimitError
 
@@ -25,7 +24,9 @@ BUDGET_TOL = 1e-9
 
 class Graph:
     """Simple undirected graph with per-node attack costs and pairwise
-    link-addition costs for non-edges."""
+    link-addition costs for non-edges.  Every graph comes from one build
+    step, `_build`, over data checked once: by `__init__`, or on the way
+    to `from_checked` (see `__init__`)."""
 
     def __init__(
         self,
@@ -35,48 +36,52 @@ class Graph:
         link_cost: Optional[Mapping[tuple[int, int], float]] = None,
         node_class: Optional[Sequence[str]] = None,
     ):
+        """Check the data, then build the graph.  Each check, and where
+        it runs instead for a graph parsed by `model_io.parse_instance` or
+        rebuilt by `response.rebuilt_model`:
+
+        - n >= 1.  Parsed: the NODES line.  Rebuilt: g's n.
+        - Each edge joins two distinct nodes of 1..n; (j, i) is (i, j).
+          Parsed: `parse_node` and the self-loop test.  Rebuilt: g's edges,
+          and links `mceic_matrix` takes between two components.
+        - n finite nonnegative attack costs, 1.0 each by default.  Parsed:
+          `parse_cost`, 1.0 for a node no row names.  Rebuilt: g's.
+        - Link-cost pairs of two distinct nodes of 1..n, with finite
+          nonnegative costs, one per pair.  Parsed: `parse_node`, the pair
+          test, `parse_cost` and the asymmetry test.  Rebuilt: none kept.
+        - One known class per node, if any.  Parsed: the CLASSES rows,
+          `load` for a node no row names.  Rebuilt: none kept.
+        """
         if n < 1:
             raise InputError(f"node count must be >= 1, got {n}")
-        self.n = n
-        edges = tuple(edges)
-        if _ordered_pairs(edges, n):
-            norm = set(map(tuple, edges))
-        else:
-            norm = set()
-            for i, j in edges:
-                if i == j:
-                    raise InputError(f"self-loop at node {i}")
-                if not (1 <= i <= n and 1 <= j <= n):
-                    raise InputError(f"edge ({i},{j}) out of range 1..{n}")
-                norm.add((min(i, j), max(i, j)))
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
-        self.edge_set = frozenset(self.edges)
+        norm = set()
+        for i, j in edges:
+            if i == j:
+                raise InputError(f"self-loop at node {i}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise InputError(f"edge ({i},{j}) out of range 1..{n}")
+            norm.add((min(i, j), max(i, j)))
 
         if attack_cost is None:
-            self.attack_cost: tuple[float, ...] = (1.0,) * n
+            attack_cost = (1.0,) * n
         else:
             if len(attack_cost) != n:
                 raise InputError("attack_cost must have one entry per node")
             if not all(math.isfinite(c) and c >= 0 for c in attack_cost):
                 raise InputError("attack costs must be finite and nonnegative")
-            self.attack_cost = tuple(float(c) for c in attack_cost)
+            attack_cost = tuple(float(c) for c in attack_cost)
 
-        self.link_cost: dict[tuple[int, int], float] = {}
-        costs = link_cost.values() if link_cost else ()
-        if costs and _ordered_pairs(link_cost, n) and all(
-                map(math.isfinite, costs)) and min(costs) >= 0:
-            self.link_cost = dict(zip(link_cost, map(float, costs)))
-        elif costs:
-            for (i, j), d in link_cost.items():
-                if i == j or not (1 <= i <= n and 1 <= j <= n):
-                    raise InputError(f"link cost pair ({i},{j}) invalid")
-                if not math.isfinite(d) or d < 0:
-                    raise InputError(
-                        f"link cost for ({i},{j}) must be finite and nonnegative")
-                key = (min(i, j), max(i, j))
-                if key in self.link_cost and abs(self.link_cost[key] - d) > 1e-9:
-                    raise InputError(f"asymmetric link cost for pair {key}")
-                self.link_cost[key] = float(d)
+        link: dict[tuple[int, int], float] = {}
+        for (i, j), d in (link_cost or {}).items():
+            if i == j or not (1 <= i <= n and 1 <= j <= n):
+                raise InputError(f"link cost pair ({i},{j}) invalid")
+            if not math.isfinite(d) or d < 0:
+                raise InputError(
+                    f"link cost for ({i},{j}) must be finite and nonnegative")
+            key = (min(i, j), max(i, j))
+            if key in link and abs(link[key] - d) > 1e-9:
+                raise InputError(f"asymmetric link cost for pair {key}")
+            link[key] = float(d)
 
         if node_class is not None:
             if len(node_class) != n:
@@ -84,10 +89,36 @@ class Graph:
             for cls in node_class:
                 if cls not in NODE_CLASSES:
                     raise InputError(f"unknown node class {cls!r}")
-            self.node_class: Optional[tuple[str, ...]] = tuple(node_class)
-        else:
-            self.node_class = None
+            node_class = tuple(node_class)
+        self._build(n, norm, attack_cost, link, node_class)
 
+    @classmethod
+    def from_checked(
+        cls,
+        n: int,
+        edges: Iterable[tuple[int, int]],
+        attack_cost: tuple[float, ...],
+        link_cost: dict[tuple[int, int], float],
+        node_class: Optional[tuple[str, ...]] = None,
+    ) -> "Graph":
+        """The graph of data that passed every check of `__init__`, built
+        without a second one, in the form `__init__` gives it: edges (i, j)
+        with i < j, repeats allowed; float costs; link costs keyed (i, j)
+        with i < j; a class tuple or None.  Nothing is copied."""
+        g = cls.__new__(cls)
+        g._build(n, edges, attack_cost, link_cost, node_class)
+        return g
+
+    def _build(self, n, edges, attack_cost, link_cost, node_class) -> None:
+        self.n = n
+        # dict.fromkeys drops repeats and keeps the order, so sorted pairs
+        # stay one run for the sort
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            sorted(dict.fromkeys(edges)))
+        self.edge_set = frozenset(self.edges)
+        self.attack_cost: tuple[float, ...] = attack_cost
+        self.link_cost: dict[tuple[int, int], float] = link_cost
+        self.node_class: Optional[tuple[str, ...]] = node_class
         # adjacency bitmasks, adj[v] has bit (u-1) set for each neighbor u
         adj = [0] * (n + 1)
         for i, j in self.edges:
@@ -168,16 +199,6 @@ class RuptureScore:
         return -self.rupture
 
 
-def _ordered_pairs(pairs: Collection[tuple[int, int]], n: int) -> bool:
-    """True when `pairs` is nonempty and each pair is (i, j) with
-    1 <= i < j <= n, the form the instance parser and Graph itself write:
-    such pairs are checked in bulk, not one by one, and need no
-    normalisation."""
-    return (bool(pairs) and all(starmap(lt, pairs))
-            and 1 <= min(map(itemgetter(0), pairs))
-            and max(map(itemgetter(1), pairs)) <= n)
-
-
 def _mask_to_nodes(mask: int) -> list[int]:
     out = []
     while mask:
@@ -224,7 +245,11 @@ def components(g: Graph, removed: Iterable[int] = ()) -> ComponentPartition:
         if not (1 <= v <= g.n):
             raise InputError(f"removed node {v} out of range")
     alive = g._full_mask & ~_nodes_to_mask(removed)
-    masks = _component_masks(g._adj, alive)
+    return _partition(_component_masks(g._adj, alive))
+
+
+def _partition(masks: Iterable[int]) -> ComponentPartition:
+    """The partition of the component masks, in their order."""
     return ComponentPartition(tuple(tuple(_mask_to_nodes(m)) for m in masks))
 
 
@@ -243,19 +268,23 @@ def rupture_score(g: Graph, x: CutSet | Iterable[int]) -> RuptureScore:
     Non-cut removals are scored too, with is_cut=False; removing every
     node is an error.
     """
-    nodes = x.nodes if isinstance(x, CutSet) else frozenset(x)
+    return _score_masks(g, x.nodes if isinstance(x, CutSet) else frozenset(x))[0]
+
+
+def _score_masks(g: Graph, nodes: frozenset[int]) -> tuple[RuptureScore, list[int]]:
+    """The score of removing `nodes`, as rupture_score gives it, and the
+    masks of the surviving components, from one component pass."""
     for v in nodes:
         if not (1 <= v <= g.n):
             raise InputError(f"cut node {v} out of range")
-    removed_mask = _nodes_to_mask(nodes)
-    alive = g._full_mask & ~removed_mask
+    alive = g._full_mask & ~_nodes_to_mask(nodes)
     if alive == 0:
         raise InputError("cut set removes all nodes")
-    m, omega = _survivor_stats(g, removed_mask)
-    survivors = alive.bit_count()
-    is_cut = omega >= 2 or survivors == 1
+    masks = _component_masks(g._adj, alive)
+    m, omega = max(map(int.bit_count, masks)), len(masks)
+    is_cut = omega >= 2 or alive.bit_count() == 1
     r = -len(nodes) - m + omega
-    return RuptureScore(len(nodes), m, omega, r, is_cut)
+    return RuptureScore(len(nodes), m, omega, r, is_cut), masks
 
 
 def _better_cut(

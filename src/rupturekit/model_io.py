@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from itertools import combinations, compress
+from dataclasses import dataclass, field
+from itertools import combinations, compress, islice
 from operator import lt
 from typing import Optional, Sequence
 
@@ -57,6 +57,8 @@ class InstanceFile:
     attack_type: str = "targeted"
     attack_nodes: tuple[int, ...] = ()        # X for designated/random,
                                               # attackable set for distributed
+    _graph: Optional[Graph] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if self.attack_type not in ATTACK_TYPES:
@@ -81,6 +83,9 @@ class InstanceFile:
         return self.attack_type in ("designated", "random")
 
     def to_graph(self) -> Graph:
+        """The graph `parse_instance` built, else one `Graph(...)` checks."""
+        if self._graph is not None:
+            return self._graph
         return Graph(self.n, self.edges, self.attack_cost, self.link_cost,
                      self.node_class)
 
@@ -97,7 +102,7 @@ _OPENING = (f"FORMAT {INSTANCE_FORMAT} {INSTANCE_VERSION}", "NODES <count>",
 
 
 def parse_instance(text: str) -> InstanceFile:
-    """Strict parser with line-numbered errors.
+    """Strict parser with line-numbered errors; it also builds the graph.
 
     After the `FORMAT`, `NODES` and `EDGES` lines, a line that starts with
     an upper-case letter is a section header, which must be one of the
@@ -107,32 +112,33 @@ def parse_instance(text: str) -> InstanceFile:
     line-agnostic reader (`parse_node`, `parse_cost`, `parse_budget`) whose
     error gets the row's line number here.
 
-    The bulk sections, EDGES, ATTACK_COSTS and LINK_COSTS, are first read
-    column by column and checked as wholes.  Only a section that fails
-    this check is read again row by row, which reports its first bad row;
-    sections are read in file order, so the first error in the file is
-    the one reported.
-    """
-    # the lines' tokens, comments cut off; the lines themselves are not kept
-    toks = ([raw.split("#", 1)[0].split() for raw in text.splitlines()]
-            if "#" in text else [raw.split() for raw in text.splitlines()])
-    try:
-        end = toks.index(["END"])
-    except ValueError:
-        raise InstanceFormatError(len(toks), "unexpected end of file") from None
-    # the nonblank rows before END and their line numbers, then END itself,
-    # where a missing opening line is reported
-    rows = [*filter(None, toks[:end]), ["END"]]
-    lns = [*compress(range(1, end + 1), toks), end + 1]
+    A bulk section (EDGES, ATTACK_COSTS, LINK_COSTS) is split once as a
+    block of stripped lines and taken by columns if they, joined again,
+    give the block back; the columns are checked as wholes.  Else it is
+    read row by row, which reports its first bad row; sections go in file
+    order, so the first error in the file is the one reported.
 
-    for ln, fields, usage in zip(lns, rows, _OPENING):
-        words = usage.split()
+    These make every check of `Graph.__init__` (its docstring says which),
+    so the graph is built here, once, by `Graph.from_checked`.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    bare = list(map(str.strip, lines))  # a blank line is empty
+    try:
+        end = bare.index("END")
+    except ValueError:
+        raise InstanceFormatError(len(lines), "unexpected end of file") from None
+    # the first three nonblank lines, then END, where a missing one shows
+    opening = [*islice(compress(range(end), bare), 3), end]
+    for k, usage in zip(opening, _OPENING):
+        words, fields = usage.split(), bare[k].split()
         if len(fields) != len(words) or not all(
                 f.isdecimal() if w == "<count>" else f == w
                 for w, f in zip(words, fields)):
-            raise InstanceFormatError(ln, f"expected '{usage}'")
-    n_ln, m_ln = lns[1:3]
-    n, m = int(rows[1][1]), int(rows[2][1])
+            raise InstanceFormatError(k + 1, f"expected '{usage}'")
+    n_ln, m_ln = opening[1] + 1, opening[2] + 1
+    n, m = int(bare[n_ln - 1].split()[1]), int(bare[m_ln - 1].split()[1])
     if n < 1:
         raise InstanceFormatError(n_ln, "node count must be >= 1")
 
@@ -184,52 +190,41 @@ def parse_instance(text: str) -> InstanceFile:
             raise InputError(f"{kind} attack needs a node list")
         attack.append((kind, tuple(parse_node(v, n) for v in nodes)))
 
-    # Column readers of the bulk sections: each takes the section's
-    # columns of tokens and returns False, changing nothing, where a row
-    # reader would raise.  Nodes are looked up as the decimals 1..n; a
-    # column with another spelling, such as 07, is left to the rows, and
-    # so is a pair not written as i < j (the canonical order) or a
-    # repeated link-cost pair, whose costs the rows compare.  float() may
-    # raise ValueError instead.
+    # Column readers of the bulk sections: each raises KeyError or
+    # ValueError, changing nothing, where a row reader would raise.  Nodes
+    # are the decimals 1..n; other spellings (07), pairs not written i < j
+    # and repeated link-cost pairs are left to the rows too.
     node_of = dict(zip(map(str, range(1, n + 1)), range(1, n + 1)))
 
     def nodes(col):
-        col = list(map(node_of.get, col))
-        return None if None in col else col
+        return list(map(node_of.__getitem__, col))  # or KeyError
+
+    def pairs(i, j):
+        i, j = nodes(i), nodes(j)
+        if not all(map(lt, i, j)):
+            raise ValueError
+        return zip(i, j)
 
     def costs(col):
+        # a nan or inf makes the sum non-finite; a sum that overflows
+        # only sends the section to the rows
         col = list(map(float, col))
-        return col if all(map(math.isfinite, col)) and min(col) >= 0 else None
-
-    def edge_columns(i, j):
-        i, j = nodes(i), nodes(j)
-        if i is None or j is None or not all(map(lt, i, j)):
-            return False
-        edges.extend(zip(i, j))
-        return True
-
-    def attack_cost_columns(v, c):
-        v, c = nodes(v), costs(c)
-        if v is None or c is None:
-            return False
-        attack_cost.update(zip(v, c))
-        return True
+        if not math.isfinite(sum(col)) or min(col, default=0.0) < 0:
+            raise ValueError
+        return col
 
     def link_cost_columns(i, j, d):
-        i, j, d = nodes(i), nodes(j), costs(d)
-        if i is None or j is None or d is None or not all(map(lt, i, j)):
-            return False
         # link_cost is still empty: the section appears once
-        link_cost.update(zip(zip(i, j), d))
+        link_cost.update(zip(pairs(i, j), costs(d)))
         if len(link_cost) < len(d):  # a repeated pair
             link_cost.clear()
-            return False
-        return True
+            raise ValueError
 
     sections = {  # header -> (fields per row, None for any; row reader;
                   # column reader or None)
-        "EDGES": (2, edge, edge_columns),
-        "ATTACK_COSTS": (2, attack_cost_row, attack_cost_columns),
+        "EDGES": (2, edge, lambda i, j: edges.extend(pairs(i, j))),
+        "ATTACK_COSTS": (2, attack_cost_row, lambda v, c: attack_cost.update(
+            zip(nodes(v), costs(c)))),
         "LINK_COSTS": (3, link_cost_row, link_cost_columns),
         "CLASSES": (2, class_row, None), "BUDGETS": (2, budget_row, None),
         "ATTACK": (None, attack_row, None),
@@ -237,16 +232,21 @@ def parse_instance(text: str) -> InstanceFile:
 
     def read_section(name, start, stop):
         width, read, read_columns = sections[name]
-        body = rows[start:stop]
-        if read_columns is not None and set(map(len, body)) == {width}:
-            try:
-                if read_columns(*zip(*body)):
-                    return
-            except ValueError:
-                pass  # a bad token: the rows name it
+        if read_columns is not None:
+            block = "\n".join(bare[start:stop])
+            tokens = block.split()
+            cols = [tokens[c::width] for c in range(width)]
+            if "\n".join(map(" ".join, zip(*cols))) == block:
+                try:
+                    return read_columns(*cols)
+                except (KeyError, ValueError):
+                    pass  # the rows name the fault, or read the layout
         ln = 0
         try:
-            for ln, fields in zip(lns[start:stop], body):
+            for ln, line in enumerate(bare[start:stop], start + 1):
+                fields = line.split()
+                if not fields:
+                    continue
                 if width is not None and len(fields) != width:
                     raise InputError(
                         f"{name} row needs {width} fields, got {len(fields)}")
@@ -254,34 +254,36 @@ def parse_instance(text: str) -> InstanceFile:
         except InputError as exc:
             raise InstanceFormatError(ln, str(exc)) from None
 
-    # section headers: the rows after the opening whose first token starts
+    # section headers: the lines after the opening whose first token starts
     # with an upper-case letter
-    heads = [k for k in range(3, len(rows) - 1) if rows[k][0][0].isupper()]
+    heads = [k for k in range(m_ln, end) if bare[k][:1].isupper()]
     seen = {"EDGES": m_ln}
-    name, start = "EDGES", 3
+    name, start = "EDGES", m_ln
     for k in heads:
         read_section(name, start, k)
-        name = " ".join(rows[k])
+        name = " ".join(bare[k].split())
         if name not in sections:
-            raise InstanceFormatError(lns[k], f"unknown section {name!r}")
+            raise InstanceFormatError(k + 1, f"unknown section {name!r}")
         if name in seen:
-            raise InstanceFormatError(lns[k], f"repeated section {name}")
-        seen[name] = lns[k]
+            raise InstanceFormatError(k + 1, f"repeated section {name}")
+        seen[name] = k + 1
         start = k + 1
-    read_section(name, start, len(rows) - 1)
+    read_section(name, start, end)
     if len(edges) != m:
         raise InstanceFormatError(m_ln, f"EDGES declares {m} edges, found {len(edges)}")
     if "ATTACK" in seen and len(attack) != 1:
         raise InstanceFormatError(seen["ATTACK"], "ATTACK takes one row")
     attack_type, attack_nodes = attack[0] if attack else ("targeted", ())
 
-    return InstanceFile(
-        n, tuple(sorted(set(edges))),
-        tuple(attack_cost.get(v, 1.0) for v in range(1, n + 1)), link_cost,
-        tuple(node_class.get(v, "load") for v in range(1, n + 1))
-        if "CLASSES" in seen else None,
-        budget.get("attack"), budget.get("response"), attack_type, attack_nodes,
-    )
+    graph = Graph.from_checked(
+        n, edges, tuple(attack_cost.get(v, 1.0) for v in range(1, n + 1)),
+        link_cost, tuple(node_class.get(v, "load") for v in range(1, n + 1))
+        if "CLASSES" in seen else None)
+    inst = InstanceFile(n, graph.edges, graph.attack_cost, link_cost,
+                        graph.node_class, budget.get("attack"),
+                        budget.get("response"), attack_type, attack_nodes)
+    object.__setattr__(inst, "_graph", graph)
+    return inst
 
 
 def parse_node(token: str, n: int) -> int:

@@ -414,8 +414,10 @@ def rebuilt_model(
     """The attack model on the reconstructed graph: g's edges plus the
     plan's realized links, g's attack costs, and `attack`'s budget and
     attackable set.  The graph carries no link costs, which the re-attack
-    never reads."""
-    rebuilt = Graph(g.n, g.edges + plan.links, g.attack_cost)
+    never reads.  It is built by `Graph.from_checked`: g was checked, and
+    each realized link is an MCEIC pair (i, j), i < j, of nodes in two
+    components of g (see `Graph.__init__`)."""
+    rebuilt = Graph.from_checked(g.n, g.edges + plan.links, g.attack_cost, {})
     return AttackModel(rebuilt, attack.budget, attack.attackable)
 
 

@@ -14,11 +14,13 @@ from rupturekit.attack import (
     _max_removals,
     _neighbour_rows,
     _neighbourhood_cut,
+    scored_cut,
     solve_attack,
 )
 from rupturekit.bench import BenchConfig, gen_random
 from rupturekit.errors import InputError
 from rupturekit.graph import (
+    CutSet,
     Graph,
     _mask_to_nodes,
     _nodes_to_mask,
@@ -416,6 +418,35 @@ class TestLastRemoval:
     ], ids=["C4", "C6", "cycle-pendant-intact", "triangles-path"])
     def test_small_cases(self, n, edges, budget, attackable):
         assert_matches_oracle(Graph(n, edges), budget, attackable)
+
+
+class TestScoredCut:
+    """scored_cut scores and partitions a removal set in one pass."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_as_score_and_components(self, seed):
+        rng = random.Random(seed)
+        non_cuts = 0
+        for inst in gen_random(BenchConfig(seed=seed, count=4, n_min=1,
+                                           n_max=17)):
+            g = inst.to_graph()
+            for _ in range(25):
+                nodes = rng.sample(range(1, g.n + 1), rng.randrange(g.n))
+                res = scored_cut(g, nodes)
+                score = rupture_score(g, nodes)
+                assert res.score == score
+                assert res.partition == components(g, nodes)
+                assert res.cut == CutSet(frozenset(nodes), score.is_cut)
+                assert res.status == STATUS_OPTIMAL
+                non_cuts += not score.is_cut
+        assert non_cuts
+
+    def test_errors_in_order(self):
+        g = path_graph(3)
+        with pytest.raises(InputError, match="cut node 4 out of range"):
+            scored_cut(g, [1, 2, 3, 4])
+        with pytest.raises(InputError, match="cut set removes all nodes"):
+            scored_cut(g, [1, 2, 3])
 
 
 class TestSearchCounter:

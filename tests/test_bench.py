@@ -15,7 +15,7 @@ from rupturekit.bench import (
     run_pipeline,
     sweep_budget,
 )
-from rupturekit.errors import InputError, OracleMismatchError
+from rupturekit.errors import InputError, OracleMismatchError, SizeLimitError
 from rupturekit.graph import Graph, components, rupture_score
 from rupturekit.model_io import InstanceFile, emit_instance
 
@@ -148,6 +148,22 @@ class TestPowerOracle:
         assert power_subset_optimum(self.model(0.5)) == (2, 0.0)
         assert power_subset_optimum(self.model(1.25)) == (-2, 1.25)
         assert power_subset_optimum(self.model(None)) == (-2, 1.25)
+
+    def test_subset_count(self):
+        # three pairs and a least cost of 0.25: no link fits budget 0,
+        # two fit 0.5 and all three fit 1.25
+        assert [bench.power_subset_count(self.model(b))
+                for b in (0.0, 0.5, 1.25, None)] == [1, 7, 8, 8]
+
+    def test_cap_is_checked_before_enumerating(self, monkeypatch):
+        m = self.model(None)
+        monkeypatch.setattr(bench, "ORACLE_MAX_SUBSETS", 8)
+        assert power_subset_optimum(m) == (-2, 1.25)
+        monkeypatch.setattr(bench, "ORACLE_MAX_SUBSETS", 7)
+        monkeypatch.setattr(bench, "_power_ok", None)  # never reached
+        with pytest.raises(SizeLimitError,
+                           match="8 link subsets exceed the oracle cap 7"):
+            power_subset_optimum(m)
 
     def test_unbacked_link_caught(self):
         # the default rule buys 2-3 alone at budget 0.5

@@ -146,6 +146,35 @@ C4_DESIGNATED = ("FORMAT rupturekit-instance 1\nNODES 4\nEDGES 4\n"
                  "2 4 1.000000\nATTACK\ndesignated 1\nEND\n")
 
 
+class TestPowerOracleCap:
+    """The power-rule oracle counts its link subsets before it enumerates
+    them: seven singletons after cut {1}, one generator, unit MCEIC costs."""
+
+    def run(self, runner, tmp_path, budget):
+        n = 8
+        inst = InstanceFile(
+            n, tuple((1, v) for v in range(2, n + 1)), (1.0,) * n,
+            {(i, j): 1.0 for i in range(2, n + 1) for j in range(i + 1, n + 1)},
+            ("load", "generator") + ("load",) * 6, 1.0, budget)
+        path = tmp_path / "star.txt"
+        path.write_text(emit_instance(inst))
+        return runner.invoke(main, ["respond", str(path), "--cut-x", "1",
+                                    "--power-constraint", "--oracle-check"])
+
+    def test_under_the_cap(self, runner, tmp_path):
+        # 4 links: sum of C(21, k) for k <= 4 is 7,547 subsets
+        res = self.run(runner, tmp_path, 4.0)
+        assert res.exit_code == 0, res.output
+        assert len(json.loads(res.output)["response"]["links"]) == 4
+
+    def test_over_the_cap(self, runner, tmp_path):
+        # 6 links: 82,160 subsets
+        res = self.run(runner, tmp_path, 6.0)
+        assert res.exit_code == 4, res.output
+        assert ("error: 82160 link subsets exceed the oracle cap 65536"
+                in res.output)
+
+
 def star_text(leaves):
     """K(1, leaves) with unit link costs between all leaves."""
     n = leaves + 1

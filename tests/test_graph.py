@@ -25,12 +25,12 @@ class TestGraph:
     def test_edge_normalization(self):
         g = Graph(4, [(3, 1), (1, 3), (2, 4)])
         assert g.edges == ((1, 3), (2, 4))
-        # ordered pairs, checked in bulk, in any pair type
+        # ordered pairs, from an iterator, in any pair type
         assert Graph(4, iter([[2, 4], (1, 3), (1, 3)])).edges == ((1, 3), (2, 4))
 
     def test_link_cost_normalization(self):
-        for link_cost in ({(3, 1): 2, (2, 4): 1, (1, 4): 0},  # one by one
-                          {(1, 3): 2, (2, 4): 1, (1, 4): 0}):  # in bulk
+        for link_cost in ({(3, 1): 2, (2, 4): 1, (1, 4): 0},  # any order
+                          {(1, 3): 2, (2, 4): 1, (1, 4): 0}):  # i < j
             g = Graph(4, [(1, 2)], link_cost=link_cost)
             assert g.link_cost == {(1, 3): 2.0, (2, 4): 1.0, (1, 4): 0.0}
             assert all(type(d) is float for d in g.link_cost.values())

@@ -8,9 +8,9 @@ from itertools import combinations
 import pytest
 
 from rupturekit import bench
-from rupturekit.attack import AttackModel, solve_attack
+from rupturekit.attack import AttackModel, scored_cut, solve_attack
 from rupturekit.errors import InputError, SizeLimitError
-from rupturekit.graph import components
+from rupturekit.graph import Graph, components
 from rupturekit.model_io import (
     EXPORT_MAX_BRIDGE_TERMS,
     EXPORT_MAX_ROWS,
@@ -23,7 +23,12 @@ from rupturekit.model_io import (
     response_bridge_terms,
     result_to_json,
 )
-from rupturekit.response import classify_components, mceic_matrix
+from rupturekit.response import (
+    classify_components,
+    mceic_matrix,
+    rebuilt_model,
+    solve_response,
+)
 
 MINIMAL = """\
 FORMAT rupturekit-instance 1
@@ -232,6 +237,178 @@ class TestBulkSections:
             elif section == "ATTACK_COSTS":
                 lines[k] = f"0{fields[0]} {fields[1]}"
         assert parse_instance("\n".join(lines)) == parse_instance(text)
+
+
+def relayout(text, row):
+    """`text` with each row of a bulk section rewritten by row(section,
+    fields), which returns the row's new lines."""
+    out, section = [], None
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[0][0].isupper():
+            section = fields[0]
+            out.append(line)
+        elif section in ("EDGES", "ATTACK_COSTS", "LINK_COSTS"):
+            out += row(section, fields)
+        else:
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def reversed_pair(section, fields):
+    if section == "ATTACK_COSTS":
+        return [" ".join(fields)]
+    return [" ".join([fields[1], fields[0], *fields[2:]])]
+
+
+def zero_padded(section, fields):
+    nodes = 1 if section == "ATTACK_COSTS" else 2
+    return [" ".join([f"0{v}" for v in fields[:nodes]] + fields[nodes:])]
+
+
+def repeated_link_cost(section, fields):
+    if section != "LINK_COSTS":
+        return [" ".join(fields)]
+    return [" ".join(fields)] + reversed_pair(section, fields)
+
+
+def repeated_edges(text):
+    """Each edge row twice, under an EDGES count that counts the rows."""
+    m = int(text.splitlines()[2].split()[1])
+    return relayout(text, lambda sec, f: [" ".join(f)] * (
+        2 if sec == "EDGES" else 1)).replace(f"EDGES {m}\n", f"EDGES {2 * m}\n")
+
+
+def defaults_left_out(text):
+    """Without the rows that only restate a default: attack cost 1.0 and
+    class load."""
+    out, section = [], None
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[0][0].isupper():
+            section = fields[0]
+        if (section, fields[1:]) not in (("ATTACK_COSTS", ["1.000000"]),
+                                         ("CLASSES", ["load"])):
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def commented(text):
+    return "\n".join(
+        f"# before {line}\n{line}" if line[0].isupper() else f"{line}  # row"
+        for line in text.splitlines()) + "\n"
+
+
+# layouts the parser reads like canonical text, many through its row readers
+LAYOUTS = {
+    "extra-spaces": lambda t: t.replace(" ", "   ").replace("\n", "  \n"),
+    "leading-spaces": lambda t: t.replace("\n", "\n  "),
+    "tabs": lambda t: t.replace(" ", "\t"),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "blank-lines": lambda t: t.replace("\n", "\n\n"),
+    "blank-before-headers": lambda t: relayout(
+        t, lambda sec, f: [" ".join(f)]).replace("\nATTACK", "\n\nATTACK"),
+    "comments": commented,
+    "reversed-pairs": lambda t: relayout(t, reversed_pair),
+    "zero-padded": lambda t: relayout(t, zero_padded),
+    "repeated-link-costs": lambda t: relayout(t, repeated_link_cost),
+    "repeated-edges": repeated_edges,
+    "defaults-left-out": defaults_left_out,
+    "after-end": lambda t: t + "anything\nEDGES x\n",
+}
+
+
+def graph_fields(g):
+    return {name: getattr(g, name)
+            for name in ("n", "edges", "edge_set", "attack_cost", "link_cost",
+                         "node_class", "_adj", "_full_mask")}
+
+
+def checked_graph(inst):
+    """The instance's graph through Graph(...) and all of its checks."""
+    return Graph(inst.n, inst.edges, inst.attack_cost, inst.link_cost,
+                 inst.node_class)
+
+
+def layout_instances():
+    return [emit_instance(inst) for seed in range(3) for inst in
+            bench.gen_random(bench.BenchConfig(seed=seed, n_min=8, n_max=12))]
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_same_instance_as_canonical(self, layout, nine_node_path,
+                                        ieee14_path):
+        texts = layout_instances() + [nine_node_path.read_text(),
+                                      ieee14_path.read_text()]
+        for text in texts:
+            want = parse_instance(text)
+            got = parse_instance(LAYOUTS[layout](text))
+            assert got == want
+            assert graph_fields(got.to_graph()) == graph_fields(want.to_graph())
+
+    @pytest.mark.parametrize("link_section", ["", "LINK_COSTS\n", "LINK_COSTS\n\n"])
+    def test_empty_sections(self, link_section):
+        # one node: no edges, and no link costs even under a LINK_COSTS header
+        want = parse_instance(emit_instance(
+            InstanceFile(1, (), (2.0,), {}, budget_attack=1.0)))
+        text = ("FORMAT rupturekit-instance 1\nNODES 1\nEDGES 0\n"
+                f"{link_section}ATTACK_COSTS\n1 2.0\nBUDGETS\nattack 1\n"
+                "ATTACK\ntargeted\nEND\n")
+        got = parse_instance(text)
+        assert got == want
+        assert graph_fields(got.to_graph()) == graph_fields(checked_graph(want))
+
+
+class TestOneCheck:
+    """A parsed or rebuilt graph skips Graph's checks; it must still be
+    the graph they give."""
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_parsed_and_rebuilt_graphs(self, n):
+        inst = bench.gen_random(bench.BenchConfig(seed=n, n_min=n, n_max=n))[0]
+        parsed = parse_instance(emit_instance(inst))
+        self.check(parsed)
+        assert graph_fields(parsed.to_graph()) == graph_fields(inst.to_graph())
+
+    def test_fixtures(self, nine_node, ieee14):
+        # cuts whose cross-component pairs all have link costs
+        self.check(nine_node, [5])
+        self.check(ieee14, [2, 4, 6, 9])
+
+    def check(self, inst, cut=None):
+        g = inst.to_graph()
+        assert graph_fields(g) == graph_fields(checked_graph(inst))
+        assert all(type(c) is float for c in g.attack_cost)
+        assert all(type(d) is float for d in g.link_cost.values())
+        if cut is None:
+            # the least-degree node's neighbours cut it off
+            v = min(g.nodes, key=lambda u: (g.degree(u), u))
+            cut = g.neighbors(v) if g.n > 1 else []
+        cut = scored_cut(g, cut)
+        plan = solve_response(bench.response_model(g, cut, None))
+        model = AttackModel(g, 1.0)
+        rebuilt = rebuilt_model(g, plan, model)
+        assert graph_fields(rebuilt.graph) == graph_fields(
+            Graph(g.n, g.edges + plan.links, g.attack_cost))
+        assert (rebuilt.budget, rebuilt.attackable) == (
+            model.budget, model.attackable)
+
+    def test_graph_kept_out_of_eq_and_repr(self, nine_node):
+        made = dataclasses.replace(nine_node)
+        assert made == nine_node and repr(made) == repr(nine_node)
+        assert made.to_graph() is not nine_node.to_graph()
+        assert nine_node.to_graph() is nine_node.to_graph()
+        # a changed copy gets a graph of its own fields
+        costs = (3.0,) * nine_node.n
+        assert dataclasses.replace(
+            nine_node, attack_cost=costs).to_graph().attack_cost == costs
+
+    def test_direct_instance_is_checked(self):
+        with pytest.raises(InputError, match="self-loop at node 2"):
+            InstanceFile(3, ((2, 2),), (1.0,) * 3, {}).to_graph()
+        with pytest.raises(InputError, match=r"link cost pair \(1,4\) invalid"):
+            InstanceFile(3, ((1, 2),), (1.0,) * 3, {(1, 4): 1.0}).to_graph()
 
 
 class TestInstanceFile:
