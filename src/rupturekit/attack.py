@@ -28,7 +28,6 @@ from .graph import (
     _nodes_to_mask,
     _partition,
     _score_masks,
-    _survivor_stats,
 )
 
 STATUS_OPTIMAL = "optimal"
@@ -151,68 +150,6 @@ def _max_removals(costs: list[float], limit: float) -> Optional[int]:
     return len(costs) if q >= len(costs) else math.floor(q * (1 + 1e-9))
 
 
-def _neighbourhood_cut(
-    g: Graph, locked: int, limit: float,
-) -> Optional[tuple[int, int, tuple[int, ...]]]:
-    """A budget-feasible cut that isolates low-degree nodes, as the
-    search's (rupture, |X|, sorted node tuple) key, or None.  `locked` is
-    the mask of the nodes that may not be removed.
-
-    The nodes are scanned in ascending (degree, index) order.  A node v
-    outside X whose neighbours may all be removed is isolated by adding
-    N(v) to X, when that stays within `limit` and improves the estimate
-    -|X| - m + w that takes the isolated nodes I as singletons and the
-    rest of the survivors as one component: -|X| - (n - |X| - |I|) + |I| + 1
-    while some node is left over, which every step raises by 2, and
-    -|X| - 1 + |I| once none is.  The neighbours of I are all in X, so v
-    is adjacent to no node of I.  The scan stops once the budget affords
-    no further node.  The final X is scored exactly, its costs summed in
-    ascending node order as the oracle sums a cut."""
-    n = g.n
-    if n <= 2:
-        return None
-    adj = g._adj
-    cost = g.attack_cost
-    c_min = min(cost)
-    x = 0
-    spent = 0.0
-    i_size = 0
-    est = 1 - n
-    for v in sorted(g.nodes, key=lambda v: adj[v].bit_count()):
-        if spent + c_min > limit:
-            break
-        nbrs = adj[v]
-        if x >> (v - 1) & 1 or nbrs & locked:
-            continue
-        new = nbrs & ~x
-        step = spent
-        for u in _mask_to_nodes(new):
-            step += cost[u - 1]
-        if step > limit:
-            continue
-        x_size = (x | new).bit_count()
-        rest = n - x_size - i_size - 1
-        step_est = (2 * i_size + 3 - n) if rest else i_size - x_size
-        if step_est <= est:
-            continue
-        x |= new
-        i_size += 1
-        spent, est = step, step_est
-    if not x:
-        return None
-    removed = _mask_to_nodes(x)
-    total = 0.0
-    for v in removed:
-        total += cost[v - 1]
-    if total > limit:
-        return None
-    m, omega = _survivor_stats(g, x)
-    if omega < 2 and m > 1:
-        return None  # one component of two nodes or more: not a cut
-    size = len(removed)
-    return (-size - m + omega, size, tuple(removed))
-
-
 def solve_attack(model: AttackModel) -> AttackResult:
     r"""Global maximizer of r = -|X| - m + w over budget-feasible cut sets.
 
@@ -261,14 +198,10 @@ def solve_attack(model: AttackModel) -> AttackResult:
     tie-break.  If t0 over-counts, the step does not fire and the walk
     goes on as before.
 
-    The search starts from the incumbent `_neighbourhood_cut` builds, so
-    it prunes from the first node.  Any budget-feasible cut will do: a
-    subtree is cut off only when its bound cannot beat the incumbent, or
-    ties it with more removals, so no optimum, tie-break included, is cut
-    off, and a better starting incumbent only prunes more.  The incumbent
-    may hold a dominated node, which the search never removes; by the
-    argument below it is then not optimal, unless it is a single-survivor
-    cut, which is scored again after the search.
+    The search starts with no incumbent and prunes once its first leaf
+    is a cut.  A subtree is cut off only when its bound cannot beat the
+    incumbent, or ties it with more removals, so no optimum, tie-break
+    included, is cut off.
 
     The frontier term bounds |X| + m from below.  Each kept component C
     carries its neighbour mask next to its node mask; let D(C) be its
@@ -361,8 +294,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
             suffix[idx] = parts
 
     # best = (rupture, |X|, sorted node tuple)
-    best: list[Optional[tuple[int, int, tuple[int, ...]]]] = [
-        _neighbourhood_cut(g, _nodes_to_mask(model.intact), limit)]
+    best: list[Optional[tuple[int, int, tuple[int, ...]]]] = [None]
 
     def leaf(removed_mask: int, omega: int, m: int) -> None:
         # a removal set whose survivors form omega components, the largest

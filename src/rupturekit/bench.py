@@ -28,7 +28,7 @@ from .errors import (
     SizeLimitError,
 )
 from .graph import Graph, _nodes_to_mask, _survivor_stats, worst_cut_oracle
-from .model_io import InstanceFile
+from .model_io import InstanceFile, default_attack_budget
 from .response import (
     MceicMatrix,
     ReconstructionPlan,
@@ -73,10 +73,6 @@ class BenchConfig:
             raise InputError("instance count must be >= 1")
         if not (1 <= self.n_min <= self.n_max):
             raise InputError("bad node-count range")
-
-
-def default_attack_budget(n: int) -> float:
-    return float(n // 2)
 
 
 def gen_random(config: BenchConfig) -> list[InstanceFile]:

@@ -323,12 +323,19 @@ def worst_cut_oracle(
         )
     costs = {v: g.attack_cost[v - 1] for v in pool}
     min_cost = min(costs.values(), default=0.0)
+    limit = budget + BUDGET_TOL
     best: Optional[tuple[int, int, tuple[int, ...]]] = None
     for k in range(0, len(pool) + 1):
-        if k * min_cost > budget + BUDGET_TOL:
+        # Stop once no k nodes fit.  Each costs at least min_cost, but the
+        # float sum of k costs may fall below the product k * min_cost:
+        # the sum is at least (1 - 2^-53)^(k - 1) times its exact value,
+        # and the product is rounded once.  Shrinking the product by a
+        # relative 1e-9 covers both for any k below about 10^6, so no
+        # level holding a subset the check below admits is skipped.
+        if k * min_cost * (1 - 1e-9) > limit:
             break
         for combo in combinations(pool, k):
-            if sum(costs[v] for v in combo) > budget + BUDGET_TOL:
+            if sum(costs[v] for v in combo) > limit:
                 continue
             removed_mask = _nodes_to_mask(combo)
             alive = g._full_mask & ~removed_mask

@@ -39,6 +39,12 @@ EXPORT_MAX_ROWS = 2_000_000
 EXPORT_MAX_BRIDGE_TERMS = 10_000_000
 
 
+def default_attack_budget(n: int) -> float:
+    """The attack budget of an n-node instance whose file gives none, as
+    the attack stage solves it and the attack MIP export writes it."""
+    return float(n // 2)
+
+
 class InstanceFormatError(InputError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -540,7 +546,8 @@ def _export_attack(inst: InstanceFile) -> str:
         lhs = " + ".join(y_off[i])
         lhs += "".join(f" - {scale}{x}" for x in v[i]) if n > 1 else "0"
         rows.append(f" r4e_{i}: {lhs} <= 0.000000")
-    budget = inst.budget_attack if inst.budget_attack is not None else 0.0
+    budget = (inst.budget_attack if inst.budget_attack is not None
+              else default_attack_budget(n))
     w.row("r4f", [(-inst.attack_cost[i - 1], x) for i in nodes for x in v[i]],
           "<=", budget - sum(inst.attack_cost))
     rows.extend(f" r4g_{i}_{j}: {y[i][j - 1]} - {y[j][i - 1]} = 0.000000"

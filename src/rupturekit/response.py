@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 from .attack import BUDGET_TOL, AttackModel, AttackResult, solve_attack
 from .errors import InputError, SizeLimitError
-from .graph import ComponentPartition, Graph, rupture_score
+from .graph import ComponentPartition, Graph
 
 LOAD_ONLY = "load-only"
 HAS_GENERATOR = "has-generator"

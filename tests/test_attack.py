@@ -13,7 +13,6 @@ from rupturekit.attack import (
     AttackModel,
     _max_removals,
     _neighbour_rows,
-    _neighbourhood_cut,
     scored_cut,
     solve_attack,
 )
@@ -23,7 +22,6 @@ from rupturekit.graph import (
     CutSet,
     Graph,
     _mask_to_nodes,
-    _nodes_to_mask,
     components,
     rupture_score,
     worst_cut_oracle,
@@ -63,6 +61,10 @@ class TestAttackModel:
     def test_negative_budget_rejected(self):
         with pytest.raises(InputError):
             AttackModel(path_graph(4), -1.0)
+
+    def test_attackable_node_out_of_range(self):
+        with pytest.raises(InputError, match="attackable node 5 out of range"):
+            AttackModel(path_graph(4), 1.0, frozenset({2, 5}))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_budget_rejected(self, bad):
@@ -461,8 +463,9 @@ class TestSearchCounter:
         # 2,775 before separator dominance pruned removals whose surviving
         # neighbours can only end up in one component, 1,877 while a
         # removal that exhausts the budget was walked to its leaf one keep
-        # at a time rather than scored as one node (same cut).
-        # A looser bound or a worse initial incumbent raises this count.
+        # at a time rather than scored as one node (same cut); the same
+        # 1,875 with the neighbourhood-cut incumbent.
+        # A looser bound raises this count.
         inst = gen_random(BenchConfig(seed=7, count=1, n_min=20, n_max=20))[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 7, 11, 16, 17, 19})
@@ -474,14 +477,15 @@ class TestSearchCounter:
         # 2,721 without the budget-aware count of new components, 1,925
         # without the neighbourhood-cut incumbent, 1,301 without separator
         # dominance, 977 while a removal that exhausts the budget was a
-        # walk to its leaf, not one scored node (same cut)
+        # walk to its leaf, not one scored node, 567 with the
+        # neighbourhood-cut incumbent (same cut)
         config = BenchConfig(seed=0, count=1, n_min=26, n_max=26,
                              edge_count=78, budget_attack=4.0)
         inst = gen_random(config)[0]
         res = solve_attack(AttackModel(inst.to_graph(), inst.budget_attack))
         assert res.cut.nodes == frozenset({6, 19, 22, 26})
         assert res.score.rupture == -21
-        assert res.stats.nodes_explored == 567
+        assert res.stats.nodes_explored == 639
 
     def test_reach_budget_four_pinned(self):
         # an instance of the reach probe (gen_random defaults, n 30-44) at
@@ -489,14 +493,15 @@ class TestSearchCounter:
         # the budget-aware count of new components, 8,612 without the
         # neighbourhood-cut incumbent, 7,465 without separator dominance,
         # 5,133 while a removal that exhausts the budget was a walk to its
-        # leaf, not one scored node (same cut)
+        # leaf, not one scored node, 2,101 with the neighbourhood-cut
+        # incumbent (same cut)
         config = BenchConfig(seed=3, count=1, n_min=30, n_max=44)
         inst = gen_random(config)[0]
         assert inst.n == 33
         res = solve_attack(AttackModel(inst.to_graph(), 4.0))
         assert res.cut.nodes == frozenset({5, 7, 17, 28})
         assert res.score.rupture == -24
-        assert res.stats.nodes_explored == 2101
+        assert res.stats.nodes_explored == 2136
 
 
 def clique_edges(k):
@@ -633,8 +638,8 @@ class TestSolverMatchesOracle:
             assert res.cut.nodes == ref[0].nodes
             assert res.score.rupture == ref[1].rupture
 
-    # (graph, budget, attackable): the neighbourhood cut skips a node with
-    # an intact neighbour and takes zero-cost nodes for free
+    # (graph, budget, attackable): intact nodes next to attackable ones,
+    # and zero-cost nodes that any budget affords
     @pytest.mark.parametrize("g,budget,attackable", [
         (path_graph(7), 3.0, frozenset({1, 2, 3, 5, 7})),
         (star(6), 2.0, frozenset({2, 3, 4, 5, 6})),
@@ -652,63 +657,6 @@ class TestSolverMatchesOracle:
         assert_matches_oracle(g, budget, attackable)
 
 
-def initial_cut(model):
-    return _neighbourhood_cut(model.graph, _nodes_to_mask(model.intact),
-                              model.budget + BUDGET_TOL)
-
-
-class TestNeighbourhoodCut:
-    """The search's initial incumbent may be any budget-feasible cut."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(attack_models())
-    def test_feasible_cut_scored_exactly(self, model):
-        g = model.graph
-        seed = initial_cut(model)
-        if seed is None:
-            return
-        rupture, size, nodes = seed
-        assert list(nodes) == sorted(set(nodes))
-        assert set(nodes) <= model.attackable
-        spent = 0.0
-        for v in nodes:  # in ascending node order, as the oracle sums
-            spent += g.attack_cost[v - 1]
-        assert spent <= model.budget + BUDGET_TOL
-        score = rupture_score(g, nodes)
-        assert score.is_cut
-        assert (score.rupture, score.cut_size) == (rupture, size)
-        ref = worst_cut_oracle(g, model.budget, model.attackable)
-        assert (-ref[1].rupture, len(ref[0].nodes),
-                tuple(sorted(ref[0].nodes))) <= (-rupture, size, nodes)
-
-    def test_star_centre(self):
-        # isolating the first leaf removes the centre: the optimum
-        assert initial_cut(AttackModel(star(6), 1.0)) == (3, 1, (1,))
-
-    @pytest.mark.parametrize("g,locked,budget", [
-        (path_graph(2), 0, 1.0),
-        (graph(1, []), 0, 1.0),
-        (path_graph(5), 0b11111, 5.0),  # every node intact
-        (star(5), 0, 0.0),
-        (path_graph(5), 0, 0.0),
-    ], ids=["n2", "n1", "all-intact", "star-budget-0", "path-budget-0"])
-    def test_none(self, g, locked, budget):
-        assert _neighbourhood_cut(g, locked, budget + BUDGET_TOL) is None
-
-    def test_seed_holding_simplicial_node(self):
-        # a triangle 1-2-3 hung from the 4-cycle 4-5-6-7 by the edge 3-4:
-        # isolating node 1 removes 2 and 3, and 2 is simplicial, so the
-        # search's space holds the better cut {3} and never returns the seed
-        g = graph(7, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
-                      (4, 7)])
-        seed = initial_cut(AttackModel(g, 2.0))
-        assert seed == (-4, 2, (2, 3)) and simplicial(g, 2)
-        assert rupture_score(g, [3]).rupture > seed[0]
-        assert 2 not in solve_attack(AttackModel(g, 2.0)).cut.nodes
-        for budget in range(g.n + 1):
-            assert_matches_oracle(g, float(budget))
-
-
 class TestSimplicialNodesKept:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(attack_models())
@@ -717,3 +665,15 @@ class TestSimplicialNodesKept:
         g = model.graph
         if res.status == STATUS_OPTIMAL and len(res.cut.nodes) != g.n - 1:
             assert not any(simplicial(g, v) for v in res.cut.nodes)
+
+    def test_triangle_hung_from_cycle(self):
+        # a triangle 1-2-3 hung from the 4-cycle 4-5-6-7 by the edge 3-4:
+        # node 2 is simplicial, so the search never removes it, and {3}
+        # beats the cut {2, 3} that isolates node 1
+        g = graph(7, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+                      (4, 7)])
+        assert simplicial(g, 2)
+        assert rupture_score(g, [3]).rupture > rupture_score(g, [2, 3]).rupture
+        assert 2 not in solve_attack(AttackModel(g, 2.0)).cut.nodes
+        for budget in range(g.n + 1):
+            assert_matches_oracle(g, float(budget))

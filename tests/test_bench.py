@@ -16,7 +16,7 @@ from rupturekit.bench import (
     sweep_budget,
 )
 from rupturekit.errors import InputError, OracleMismatchError, SizeLimitError
-from rupturekit.graph import Graph, components, rupture_score
+from rupturekit.graph import ComponentPartition, Graph, components, rupture_score
 from rupturekit.model_io import InstanceFile, emit_instance
 
 
@@ -164,6 +164,20 @@ class TestPowerOracle:
         with pytest.raises(SizeLimitError,
                            match="8 link subsets exceed the oracle cap 7"):
             power_subset_optimum(m)
+
+    @pytest.mark.parametrize("budget,selected,cost,merged,fault", [
+        # both generator links at budget 1.25
+        (1.25, ((1, 2), (1, 3)), 2.0, ((1, 2, 3),), "exceeds the budget"),
+        # all three links: a cycle, one link more than the merge needs
+        (None, ((1, 2), (1, 3), (2, 3)), 2.25, ((1, 2, 3),), "is not a forest"),
+    ], ids=["over-budget", "cycle"])
+    def test_hand_built_fault_caught(self, budget, selected, cost, merged,
+                                     fault):
+        plan = response.ReconstructionPlan(
+            selected, selected, cost, ComponentPartition(merged), -2)
+        with pytest.raises(OracleMismatchError,
+                           match=rf"selected \[.*\] {fault}$"):
+            check_response_oracle(self.model(budget), plan)
 
     def test_unbacked_link_caught(self):
         # the default rule buys 2-3 alone at budget 0.5

@@ -68,6 +68,19 @@ class TestAttackCommand:
         res = runner.invoke(main, ["attack", "missing.txt"])
         assert res.exit_code == 3
 
+    def test_oracle_enumerates_a_rounded_up_level(self, runner, tmp_path):
+        # six costs sum to exactly the budget while 6 * cost rounds above
+        # it; the oracle must still reach six removals
+        path = tmp_path / "p13.txt"
+        path.write_text(emit_instance(InstanceFile(
+            13, tuple((v, v + 1) for v in range(1, 13)), (922402671.7,) * 13,
+            {}, budget_attack=5534416030.2)))
+        res = runner.invoke(main, ["attack", str(path), "--oracle-check"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert doc["attack"]["cut"] == [2, 4, 6, 8, 10, 12]
+        assert doc["attack"]["rupture"] == 0
+
     def test_unlimited_budget_is_input_error(self, runner, nine_node_path):
         res = runner.invoke(main, ["attack", str(nine_node_path),
                                    "--budget-attack", "unlimited"])
@@ -680,6 +693,38 @@ class TestExitCodes:
         res = runner.invoke(main, [a.format(path=nine_node_path) for a in args])
         assert res.exit_code == 3, res.output
         assert "Usage: " in res.output  # click's usage text is kept
+
+    @pytest.mark.parametrize("args,message", [
+        (["attack", "{no_nodes}"], "line 2: node count must be >= 1"),
+        (["attack", "{classes}"], "line 6: unknown node class 'turbine'"),
+        (["attack", "{targeted}"], "line 6: targeted attack takes no node list"),
+        (["respond", "{path}", "--cut-x", "5", "--power-constraint"],
+         "graph has no node classes"),
+        (["gen", "--count", "0", "--out-dir", "{tmp}"],
+         "instance count must be >= 1"),
+        (["gen", "--n-min", "5", "--n-max", "3", "--out-dir", "{tmp}"],
+         "bad node-count range"),
+        (["export-mip", "{path}", "--formulation", "reduced", "--cut-x", "2"],
+         "reduced export needs a disconnected attacked network"),
+    ], ids=["no-nodes", "unknown-class", "targeted-node-list",
+            "power-without-classes", "gen-no-count", "gen-bad-range",
+            "reduced-connected"])
+    def test_input_error_message(self, runner, nine_node_path, tmp_path,
+                                 args, message):
+        two = ("FORMAT rupturekit-instance 1\nNODES 2\nEDGES 1\n1 2\n"
+               "ATTACK\ntargeted\nEND\n")
+        files = {"no_nodes": two.replace("NODES 2", "NODES 0"),
+                 "classes": two.replace("ATTACK\n", "CLASSES\n1 turbine\n"
+                                        "ATTACK\n"),
+                 "targeted": two.replace("targeted", "targeted 1 2")}
+        names = {"path": nine_node_path, "tmp": tmp_path}
+        for key, text in files.items():
+            names[key] = tmp_path / f"{key}.txt"
+            names[key].write_text(text)
+        res = runner.invoke(main, [a.format(**names) for a in args])
+        assert res.exit_code == 3, res.output
+        assert f"error: {message}\n" in res.output
+        assert not list(tmp_path.glob("instance_*"))
 
     @pytest.mark.parametrize("command", [[], *([c] for c in SUBCOMMANDS)],
                              ids=["main", *SUBCOMMANDS])

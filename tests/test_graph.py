@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from rupturekit.attack import AttackModel, solve_attack
 from rupturekit.errors import InputError, SizeLimitError
 from rupturekit.graph import (
+    BUDGET_TOL,
     ComponentPartition,
     CutSet,
     Graph,
@@ -62,6 +64,19 @@ class TestGraph:
         with pytest.raises(InputError):
             Graph(3, [(1, 2)], link_cost={(1, 3): bad})
 
+    @pytest.mark.parametrize("n,kwargs,message", [
+        (0, {}, "node count must be >= 1, got 0"),
+        (3, {"attack_cost": (1.0, 1.0)},
+         "attack_cost must have one entry per node"),
+        (3, {"node_class": ("load", "load")},
+         "node_class must have one entry per node"),
+        (3, {"node_class": ("load", "turbine", "load")},
+         "unknown node class 'turbine'"),
+    ], ids=["no-nodes", "attack-cost-length", "class-length", "unknown-class"])
+    def test_rejects_bad_nodes(self, n, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            Graph(n, [], **kwargs)
+
     def test_degree_and_neighbors(self):
         g = star(5)
         assert g.degree(1) == 4
@@ -89,6 +104,10 @@ class TestComponents:
         assert p.components == ((1, 2), (4, 5))
         assert p.sizes == (2, 2)
         assert p.count == 2
+
+    def test_removed_node_out_of_range(self):
+        with pytest.raises(InputError, match="removed node 5 out of range"):
+            components(path_graph(4), [5])
 
     def test_isolated_vertices(self):
         g = Graph(3, [])
@@ -156,6 +175,23 @@ class TestWorstCutOracle:
         g = path_graph(5)
         g = Graph(5, g.edges, attack_cost=(9.0, 9.0, 9.0, 9.0, 9.0))
         assert worst_cut_oracle(g, 1.0) is None
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InputError, match="budget must be nonnegative"):
+            worst_cut_oracle(path_graph(4), -1.0)
+
+    def test_level_whose_cost_product_rounds_up(self):
+        # six costs of 922402671.7 sum to exactly the budget, while their
+        # product 6 * c rounds above it: the oracle must still enumerate
+        # six removals and find the solver's cut
+        c, budget = 922402671.7, 5534416030.2
+        assert sum([c] * 6) <= budget + BUDGET_TOL < 6 * c
+        g = Graph(13, path_graph(13).edges, attack_cost=(c,) * 13)
+        cut, score = worst_cut_oracle(g, budget)
+        assert cut.nodes == frozenset({2, 4, 6, 8, 10, 12})
+        assert score.rupture == 0
+        res = solve_attack(AttackModel(g, budget))
+        assert (res.cut.nodes, res.score.rupture) == (cut.nodes, score.rupture)
 
     def test_enumeration_cap(self):
         g = path_graph(30)

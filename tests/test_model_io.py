@@ -127,10 +127,15 @@ class TestParse:
         ("targeted\n", "targeted\ntargeted\n", 8, "ATTACK takes one row"),
         ("targeted\n", "", 8, "ATTACK takes one row"),
         ("END\n", "", 9, "unexpected end of file"),
+        ("NODES 2\n", "NODES 0\n", 2, "node count must be >= 1"),
+        ("ATTACK\n", "CLASSES\n1 turbine\nATTACK\n", 9,
+         "unknown node class 'turbine'"),
+        ("targeted\n", "targeted 1 2\n", 9, "targeted attack takes no node list"),
     ], ids=["attack-type-header", "nodes-extra-value", "edges-no-count",
             "attack-costs-width", "bad-node", "link-costs-width", "budgets-width",
             "unknown-budget", "repeated-section", "edge-count", "two-attack-rows",
-            "no-attack-row", "no-end"])
+            "no-attack-row", "no-end", "no-nodes", "unknown-class",
+            "targeted-node-list"])
     def test_malformed_line_rejected(self, old, new, line, message):
         text = MINIMAL.replace(old, new, 1)
         with pytest.raises(InstanceFormatError) as exc:
@@ -421,6 +426,16 @@ class TestInstanceFile:
         with pytest.raises(InputError):
             InstanceFile(2, ((1, 2),), (1.0, 1.0), {}, **{field: bad})
 
+    @pytest.mark.parametrize("attack_type,nodes,message", [
+        ("sideways", (), "unknown attack type 'sideways'"),
+        ("designated", (), "designated attack requires a node set"),
+        ("distributed", (1, 3), "attack node 3 out of range"),
+    ])
+    def test_attack_rejected(self, attack_type, nodes, message):
+        with pytest.raises(InputError, match=message):
+            InstanceFile(2, ((1, 2),), (1.0, 1.0), {}, attack_type=attack_type,
+                         attack_nodes=nodes)
+
     def test_unlimited_response_budget_accepted(self):
         inst = InstanceFile(2, ((1, 2),), (1.0, 1.0), {}, budget_response=math.inf)
         assert math.isinf(inst.budget_response)
@@ -465,6 +480,17 @@ class TestExportMip:
         assert a.startswith("\\ rupturekit mip export v1")
         assert "Maximize" in a
         assert " r4f: " in a
+
+    @pytest.mark.parametrize("budget", [None, 1.0, 2.5])
+    def test_attack_export_budget_is_the_attack_stage_budget(self, nine_node,
+                                                            budget):
+        # with no budget in the file both fall back to floor(n / 2)
+        inst = dataclasses.replace(nine_node, budget_attack=budget)
+        r4f = next(ln for ln in export_mip(inst, "attack").splitlines()
+                   if ln.startswith(" r4f: "))
+        rhs = float(r4f.rsplit("<=", 1)[1])
+        want = bench.attack_model(inst).budget - sum(inst.attack_cost)
+        assert rhs == pytest.approx(want, abs=1e-6)
 
     def test_attack_export_distributed_rows(self, nine_node):
         text = export_mip(_distributed_nine(nine_node), "attack")
@@ -578,7 +604,7 @@ EXPORT_DIGESTS = [
     ("two_node", "attack", None, False,
      "d1e53bf8653eac04ba7117b9e8d074138cb842a81aaa49917ad13d3c22bcf03f"),
     ("no_budget", "attack", None, False,
-     "9edf2f20fb5af56bba849b08f59902df279253ea5ad4eb5ff5d9cde043ee4591"),
+     "60d9a5d2df2a39af49fad5bf163de0ad2b9d5bc7975872186afae6bfd1b58e10"),
     ("random30", "attack", None, False,
      "0150443b14f90514cfee42d1c07a5b3226fecddd68306b243e99d653e104cc22"),
     ("random10", "attack", None, False,
@@ -591,7 +617,7 @@ EXPORT_DIGESTS = [
 def _export_case(request, name):
     if name == "distributed":
         return _distributed_nine(request.getfixturevalue("nine_node"))
-    if name == "no_budget":  # r4f's right-hand side falls back to 0.0
+    if name == "no_budget":  # r4f's budget falls back to floor(n / 2)
         return dataclasses.replace(request.getfixturevalue("nine_node"),
                                    budget_attack=None)
     if name == "random":

@@ -134,6 +134,15 @@ class TestDegenerateAndCaps:
         with pytest.raises(InputError):
             simple_model(budget=bad)
 
+    @pytest.mark.parametrize("classes,message", [
+        ((LOAD_ONLY, HAS_GENERATOR), "one class per component required"),
+        ((LOAD_ONLY, "turbine", LOAD_ONLY), "unknown component class 'turbine'"),
+    ])
+    def test_component_classes_checked(self, classes, message):
+        _, m = simple_model()
+        with pytest.raises(InputError, match=message):
+            replace(m, component_class=classes)
+
     @pytest.mark.parametrize("n,edges,cut", [
         (2, [(1, 2)], [1]),                        # K2 minus one node
         (4, [(1, 2), (2, 3), (3, 4), (1, 4)], [1]),  # C4 minus a non-cut node
