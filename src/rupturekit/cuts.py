@@ -21,7 +21,11 @@ log = logging.getLogger(__name__)
 
 TOL = 1e-9
 
-VERIFY_MAX_VARS = 24
+# verify_cut's work: the left-side states its dynamic program may hold,
+# summed over the items (see `_state_visits`).  One state visit costs about
+# 0.1-0.3 us and a held state about 140 bytes, so the cap keeps a check
+# under about 0.1 s and 40 MB.
+VERIFY_MAX_STATES = 2**18
 
 
 @dataclass(frozen=True)
@@ -223,10 +227,15 @@ def verify_cut(k: KnapsackConstraint, cut: LiftedCoverCut) -> LiftedCoverCut:
     rounding is monotone, so the minimum commutes with adding the next
     weight (and a fitting point's prefixes fit).  A lifted cover cut has
     nonnegative integer coefficients: at most rhs + 1 <= n states, O(n^2).
+
+    Raises SizeLimitError, before the walk, when `_state_visits` bounds its
+    work above VERIFY_MAX_STATES.
     """
     n = k.size
-    if n > VERIFY_MAX_VARS:
-        raise SizeLimitError(f"verify_cut limited to {VERIFY_MAX_VARS} variables, got {n}")
+    visits = _state_visits(cut.coeffs)
+    if visits > VERIFY_MAX_STATES:
+        raise SizeLimitError(f"verify_cut would visit up to {visits} left-side "
+                             f"states, over the cap {VERIFY_MAX_STATES}")
     limit = k.capacity + TOL
     least = {0: 0.0}
     for a, c in zip(k.coeffs, cut.coeffs):
@@ -241,6 +250,23 @@ def verify_cut(k: KnapsackConstraint, cut: LiftedCoverCut) -> LiftedCoverCut:
         cut.coeffs, cut.rhs, cut.abar, cut.cover, cut.cminus,
         verified=ok, dominates_ci=dominates,
     )
+
+
+def _state_visits(coeffs: Sequence[int]) -> int:
+    """A bound on the states verify_cut's dynamic program visits, summed
+    over the items.  Each item at most doubles the states; with integer
+    coefficients the left sides after k items also lie in a range of
+    sum(|c_j|, j <= k) + 1 values, so the states after all n items are at
+    most min(2^n, sum(|c_j|) + 1).  Counting stops past the cap."""
+    integral = all(isinstance(c, int) for c in coeffs)
+    visits, states, span = 0, 1, 0
+    for c in coeffs:
+        span += abs(c)
+        states = min(2 * states, span + 1) if integral else 2 * states
+        visits += states
+        if visits > VERIFY_MAX_STATES:
+            break
+    return visits
 
 
 def cuts_for_knapsack(k: KnapsackConstraint) -> list[LiftedCoverCut]:

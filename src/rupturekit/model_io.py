@@ -415,7 +415,12 @@ def _expr(terms: Sequence[tuple[float, str]], constant: float = 0.0) -> str:
         for c, v in terms if c != 0]
     if constant != 0:
         parts.append(f"{'+-'[constant < 0]} {abs(constant):.6f}")
-    text = " ".join(parts)
+    return _lead(" ".join(parts))
+
+
+def _lead(text: str) -> str:
+    """Signed terms, each "+ x" or "- x", as an expression: the first
+    sign is dropped or closed up ("x - y", "-x - y"), and no term is 0."""
     if not text:
         return "0"
     return text[2:] if text[0] == "+" else "-" + text[2:]
@@ -507,10 +512,18 @@ def export_mip(
     return _export_reduced(inst, g, cut, part, power)
 
 
+def _names(head: str, labels: Sequence[str], sep: str, tail: str = "") -> str:
+    """head + label + tail for each label, joined by sep, in one join."""
+    if not labels:
+        return ""
+    return head + (tail + sep + head).join(labels) + tail
+
+
 def _export_attack(inst: InstanceFile) -> str:
     n = inst.n
     _check_rows(export_row_count("attack", n))
     nodes = range(1, n + 1)  # the nodes, and one potential component per node
+    labels = [str(j) for j in nodes]
     g = inst.to_graph()
     attackable = inst.attackable_nodes()
     w = _LpWriter("Maximize", [
@@ -518,40 +531,43 @@ def _export_attack(inst: InstanceFile) -> str:
         "formulation: attack",
         f"attack_type: {inst.attack_type}",
     ])
-    # each name is formatted once: v[i][c - 1] is v_i_c, y[i][j - 1] is
-    # y_i_j (y_i_i is never written) and on_c[c][i - 1] is v_i_c again
-    v = [[]] + [[f"v_{i}_{c}" for c in nodes] for i in nodes]
-    y = [[]] + [[f"y_{i}_{j}" for j in nodes] for i in nodes]
-    y_off = [[]] + [y[i][:i - 1] + y[i][i:] for i in nodes]  # j != i
-    on_c = [[]] + [[v[i][c - 1] for i in nodes] for c in nodes]
-
-    # Rows whose coefficients are all +-1 are written as the lines _expr would
-    # render, joined from the names above; only r4f, whose coefficients are
-    # the attack costs, goes through w.row.
-    w.obj = (" + ".join([x for i in nodes for x in v[i]]) + " - alphaA + "
-             + " + ".join(f"bA_{c}" for c in nodes) + f" - {_fmt(n)}")
+    # Rows are written as the lines _expr would render.  Every run of names
+    # (v_i_1 + ... + v_i_n, the column v_1_c + ... + v_n_c, y_i_j over
+    # j != i, bA_1 + ... + bA_n) is one join over the node labels.
+    v_rows = [_names(f"v_{i}_", labels, " + ") for i in nodes]
+    y_rows = [_names(f"y_{i}_", labels[:i - 1] + labels[i:], " + ")
+              for i in nodes]
+    b_row = _names("bA_", labels, " + ")
+    v_all = " + ".join(v_rows)
+    w.obj = f"{v_all} - alphaA + {b_row} - {_fmt(n)}"
     rows = w.rows
-    for i in nodes:
+    for i, v_row in zip(nodes, v_rows):
         # intact nodes stay active: the assignment row becomes an equality
         name, op = (f"r4b_{i}", "<=") if i in attackable else (f"r20b_{i}", "=")
-        rows.append(f" {name}: {' + '.join(v[i])} {op} 1.000000")
-    rows.extend(f" r4c_{c}: {' + '.join(on_c[c])} - alphaA <= 0.000000"
-                for c in nodes)
-    rows.extend(f" r4d_{c}: bA_{c} - {' - '.join(on_c[c])} <= 0.000000"
-                for c in nodes)
+        rows.append(f" {name}: {v_row} {op} 1.000000")
+    rows.extend(f" r4c_{c}: {_names('v_', labels, ' + ', f'_{c}')} - alphaA"
+                " <= 0.000000" for c in labels)
+    rows.extend(f" r4d_{c}: bA_{c} - {_names('v_', labels, ' - ', f'_{c}')}"
+                " <= 0.000000" for c in labels)
     # r4e's v coefficient is -(n - 1): bare at n = 2, and zero at n = 1,
     # which leaves the row no term, so _expr prints 0
     scale = "" if n == 2 else f"{_fmt(n - 1.0)} "
-    for i in nodes:
-        lhs = " + ".join(y_off[i])
-        lhs += "".join(f" - {scale}{x}" for x in v[i]) if n > 1 else "0"
+    for i, y_row in zip(nodes, y_rows):
+        lhs = (f"{y_row} - {_names(f'{scale}v_{i}_', labels, ' - ')}"
+               if n > 1 else "0")
         rows.append(f" r4e_{i}: {lhs} <= 0.000000")
+    # r4f: node i's attack cost a >= 0 is the coefficient -a of its n terms,
+    # as _expr renders it: left out when a is 1, and no term when a is 0
     budget = (inst.budget_attack if inst.budget_attack is not None
               else default_attack_budget(n))
-    w.row("r4f", [(-inst.attack_cost[i - 1], x) for i in nodes for x in v[i]],
-          "<=", budget - sum(inst.attack_cost))
-    rows.extend(f" r4g_{i}_{j}: {y[i][j - 1]} - {y[j][i - 1]} = 0.000000"
-                for i, j in combinations(nodes, 2))
+    lhs = " ".join(_names(f"- {'' if a == 1 else f'{a:.6f} '}v_{i}_", labels, " ")
+                   for i, a in zip(nodes, inst.attack_cost) if a != 0)
+    rows.append(f" r4f: {_lead(lhs)} <= {_fmt(budget - sum(inst.attack_cost))}")
+    # r4g_i_j for j > i, from node i's pieces joined with j
+    for i in nodes:
+        pieces = (f" r4g_{i}_", f": y_{i}_", " - y_", f"_{i} = 0.000000")
+        rows.extend(j.join(pieces) for j in labels[i:])
+
     # The r4h, r4i and r4j rows of a pair i > j depend only on whether i and
     # j are adjacent.  Each kind's 2n + 1 lines are rendered once, with the
     # control characters \x01 and \x02, which LP text never holds, standing
@@ -569,16 +585,14 @@ def _export_attack(inst: InstanceFile) -> str:
         apart.append(f" r4i_\x01_\x02_{c}: {yij} <= 0.000000")
         apart.append(f" r4j_\x01_\x02_{c}: {yij} <= 0.000000")
     adjacent, apart = "\n".join(adjacent), "\n".join(apart)
-    labels = [str(j) for j in nodes]
     for i, label, nbrs in zip(nodes, labels, g._adj[1:]):
         pieces = (apart.replace("\x01", label).split("\x02"),
                   adjacent.replace("\x01", label).split("\x02"))
         rows.extend(j.join(pieces[nbrs >> k & 1])
                     for k, j in enumerate(labels[:i - 1]))
 
-    for names in v[1:] + y_off[1:]:
-        w.binaries += names
-    w.binaries.extend(f"bA_{c}" for c in nodes)
+    # the Binaries are the same runs, split back into names
+    w.binaries = " + ".join(filter(None, (v_all, *y_rows, b_row))).split(" + ")
     w.generals.append("alphaA")
     return w.render()
 
@@ -630,21 +644,28 @@ def _export_response(inst: InstanceFile, cut: list[int],
         if d is not None:
             budget_terms.append((d, f"yR_{i}_{j}"))
     w.row("r7f", budget_terms, "<=", budget)
-    # the unit-coefficient row families are written as their LP lines
+    # the unit-coefficient row families are written as their LP lines; the
+    # r7g and r7h rows of a pair i < j are node i's pieces joined with j
     rows = w.rows
-    for i, j in combinations(n_r, 2):
-        rows.append(f" r7g_{i}_{j}: yR_{i}_{j} - yR_{j}_{i} = 0.000000")
-        rows.append(f" r7h_{i}_{j}: qR_{i}_{j} - qR_{j}_{i} = 0.000000")
+    labels = [str(i) for i in n_r]
+    for k, i in enumerate(labels, 1):
+        pieces = (f" r7g_{i}_", f": yR_{i}_", " - yR_", f"_{i} = 0.000000\n"
+                  f" r7h_{i}_", f": qR_{i}_", " - qR_", f"_{i} = 0.000000")
+        rows.extend(j.join(pieces) for j in labels[k:])
+    # Each r7i row of a component pair holds the pair's whole bridge of yR
+    # links, so the bridge is rendered once per sign for the pair's 2p rows.
+    m_term = f"{_fmt(big_m)} qR_"
     for cm, cn in combinations(range(1, s + 1), 2):
         vm, vn = part.components[cm - 1], part.components[cn - 1]
-        bridge = [(1.0, f"yR_{u}_{wv}") for u in vm for wv in vn]
+        vn_labels = [str(wv) for wv in vn]
+        plus = " + ".join(_names(f"yR_{u}_", vn_labels, " + ") for u in vm)
+        minus = plus.replace(" + ", " - ")
         for i in vm:
             for j in vn:
                 q = f"qR_{i}_{j}"
-                w.row(f"r7i_lo_{cm}_{cn}_{i}_{j}",
-                      [(1.0, q)] + [(-c, var) for c, var in bridge], "<=", 0.0)
-                w.row(f"r7i_hi_{cm}_{cn}_{i}_{j}",
-                      bridge + [(-big_m, q)], "<=", 0.0)
+                rows.append(f" r7i_lo_{cm}_{cn}_{i}_{j}: {q} - {minus} <= 0.000000")
+                rows.append(f" r7i_hi_{cm}_{cn}_{i}_{j}: {plus} - {m_term}{i}_{j}"
+                            " <= 0.000000")
                 for k, vi, vj in zip(range(1, s + 1), v[i], v[j]):
                     rows.append(f" r7j_{i}_{j}_{k}: {vi} + {vj} - {q} <= 1.000000")
                     rows.append(f" r7k_{i}_{j}_{k}: {q} + {vi} - {vj} <= 1.000000")
@@ -652,8 +673,10 @@ def _export_response(inst: InstanceFile, cut: list[int],
 
     for i in n_r:
         w.binaries.extend(v[i])
-    w.binaries.extend(f"yR_{i}_{j}" for i in n_r for j in n_r if i != j)
-    w.binaries.extend(f"qR_{i}_{j}" for i in n_r for j in n_r if i != j)
+    # yR_i_j and then qR_i_j over i != j, from one join per node
+    links = " ".join(_names(f"yR_{i}_", labels[:k] + labels[k + 1:], " ")
+                     for k, i in enumerate(labels))
+    w.binaries += links.split() + links.replace("yR_", "qR_").split()
     w.binaries.extend(f"bR_{c}" for c in range(1, s + 1))
     w.binaries.extend(f"tR_{c}" for c in range(1, s + 1))
     w.generals.append("alphaR")

@@ -522,6 +522,30 @@ class TestExportCommand:
         assert res.exit_code == 0, res.output
         assert res.stdout == export_mip(nine_node, formulation, cut)
 
+    def test_reads_and_exports_through_model_io(self, runner, nine_node_path,
+                                                nine_node, monkeypatch):
+        # a profiler that wraps model_io.parse_instance and
+        # model_io.export_mip sees the command only if it looks both up
+        # on the module, not through names imported into cli
+        calls = []
+
+        def parse(text):
+            calls.append("parse_instance")
+            return nine_node
+
+        def export(inst, formulation, cut, power):
+            calls.append(("export_mip", inst, formulation, cut, power))
+            return "sentinel text"
+
+        monkeypatch.setattr(model_io, "parse_instance", parse)
+        monkeypatch.setattr(model_io, "export_mip", export)
+        res = runner.invoke(main, ["export-mip", str(nine_node_path),
+                                   "--formulation", "reduced", "--cut-x", "5"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == "sentinel text"
+        assert calls == ["parse_instance",
+                         ("export_mip", nine_node, "reduced", (5,), False)]
+
 
 NON_FINITE_INSTANCE = [  # (line in nine_node.txt, its replacement)
     ("5 1.000000", "5 nan"),              # an attack cost
@@ -581,15 +605,18 @@ class TestCutsCommand:
         assert (1, 1, 0, 1) in coeffs
 
     def test_verify_cap(self, runner):
-        # 24 coefficients are verified, 25 are refused by the size guard
-        at_cap = runner.invoke(main, ["cuts", "--coeffs", "1 " * 24,
-                                      "--capacity", "11.5"])
-        assert at_cap.exit_code == 0, at_cap.output
-        assert json.loads(at_cap.output)["cuts"]
-        res = runner.invoke(main, ["cuts", "--coeffs", "1 " * 25,
+        # the cap counts the states verify_cut may visit, not variables:
+        # the lifted cuts on 25 unit weights visit 350, on 720 260,280,
+        # and on 730 267,545, past 2^18 = 262,144
+        for n in (25, 720):
+            res = runner.invoke(main, ["cuts", "--coeffs", "1 " * n,
+                                       "--capacity", "11.5"])
+            assert res.exit_code == 0, res.output
+            assert json.loads(res.output)["cuts"]
+        res = runner.invoke(main, ["cuts", "--coeffs", "1 " * 730,
                                    "--capacity", "11.5"])
         assert res.exit_code == 4
-        assert "verify_cut limited to 24 variables, got 25" in res.output
+        assert "would visit up to" in res.output
 
 
 class TestRuptureCommand:

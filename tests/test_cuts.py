@@ -11,6 +11,7 @@ import pytest
 import rupturekit
 
 from rupturekit.cuts import (
+    VERIFY_MAX_STATES,
     KnapsackConstraint,
     LiftedCoverCut,
     compute_abar,
@@ -22,7 +23,7 @@ from rupturekit.cuts import (
     lift_cover,
     verify_cut,
 )
-from rupturekit.errors import InputError
+from rupturekit.errors import InputError, SizeLimitError
 
 
 def feasible_points(k):
@@ -200,6 +201,55 @@ def test_verify_cut_matches_enumeration():
             assert verify_cut(k, cut).verified == valid, (k, cut)
             verdicts.append(valid)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+class TestVerifyCap:
+    """verify_cut refuses by the states its walk may visit, not by the
+    number of variables."""
+
+    @staticmethod
+    def powers(zeros):
+        # `zeros` items with coefficient 0 visit one state each; then
+        # 1, 2, ..., 2^16 double the states up to 2^17: 2^18 - 2 visits
+        coeffs = (0,) * zeros + tuple(2**j for j in range(17))
+        k = KnapsackConstraint((0.0,) * len(coeffs), 1.0)
+        return k, LiftedCoverCut(coeffs, sum(coeffs), 0.0, frozenset(),
+                                 frozenset())
+
+    def test_at_the_cap(self):
+        assert VERIFY_MAX_STATES == 2**18
+        k, cut = self.powers(zeros=2)
+        assert verify_cut(k, cut).verified
+
+    def test_past_the_cap(self):
+        k, cut = self.powers(zeros=3)
+        with pytest.raises(SizeLimitError, match=f"{2**18 + 1} left-side states"):
+            verify_cut(k, cut)
+
+    def test_doubling_coefficients_refused(self):
+        # 1, 2, ..., 2^19 keep 2^20 states
+        coeffs = tuple(2**j for j in range(20))
+        k = KnapsackConstraint((0.0,) * 20, 1.0)
+        with pytest.raises(SizeLimitError):
+            verify_cut(k, LiftedCoverCut(coeffs, 2**20, 0.0, frozenset(),
+                                         frozenset()))
+
+    @pytest.mark.parametrize("n", [25, 200, 720])
+    def test_unit_coefficients_count_n_states(self, n):
+        # after k unit items the left sides are 0..k: (n^2 + 3n) / 2 visits
+        k = KnapsackConstraint((1.0,) * n, 11.5)
+        cover = frozenset(range(1, 13))
+        cut = LiftedCoverCut((1,) * n, 11, 11.5 / 12, cover, cover)
+        assert verify_cut(k, cut).verified
+
+    def test_non_integer_coefficients_count_every_point(self):
+        # a fraction gives no range of integer left sides: 2^k states
+        k = KnapsackConstraint((0.0,) * 18, 1.0)
+        whole = LiftedCoverCut((1,) * 18, 18, 0.0, frozenset(), frozenset())
+        half = LiftedCoverCut((0.5,) * 18, 9, 0.0, frozenset(), frozenset())
+        assert verify_cut(k, whole).verified
+        with pytest.raises(SizeLimitError):
+            verify_cut(k, half)
 
 
 def test_import_leaves_numpy_unloaded():

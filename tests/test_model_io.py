@@ -12,6 +12,7 @@ from rupturekit.attack import AttackModel, scored_cut, solve_attack
 from rupturekit.errors import InputError, SizeLimitError
 from rupturekit.graph import Graph, components
 from rupturekit.model_io import (
+    ATTACK_TYPES,
     EXPORT_MAX_BRIDGE_TERMS,
     EXPORT_MAX_ROWS,
     InstanceFile,
@@ -644,6 +645,222 @@ def test_export_row_count_matches_text(request, name, which, cut, power, digest)
     if power:
         loads = classify_components(inst.to_graph(), part).count("load-only")
     assert export_row_count(which, inst.n, part, loads) == end - start
+
+
+# -- differential check against a term-by-term renderer ----------------------
+#
+# The exporter joins runs of names and fills row templates.  The reference
+# below writes every row from its list of (coefficient, variable) terms,
+# one term at a time, and the two must agree byte for byte.
+
+
+def _ref_expr(terms, constant=0.0):
+    parts = []
+    for coef, var in terms:
+        if coef == 0:
+            continue
+        sign = "-" if coef < 0 else "+"
+        mag = abs(coef)
+        parts.append(f"{sign} {var}" if mag == 1 else f"{sign} {mag:.6f} {var}")
+    if constant != 0:
+        parts.append(f"{'-' if constant < 0 else '+'} {abs(constant):.6f}")
+    if not parts:
+        return "0"
+    first = parts[0]
+    first = first[2:] if first.startswith("+ ") else "-" + first[2:]
+    return " ".join([first] + parts[1:])
+
+
+class _RefLp:
+    def __init__(self, sense, header):
+        self.lines = [f"\\ {h}" for h in header] + [sense]
+        self.rows, self.binaries, self.generals = [], [], []
+
+    def objective(self, terms, constant=0.0):
+        self.lines += [f" obj: {_ref_expr(terms, constant)}", "Subject To"]
+
+    def row(self, name, terms, op, rhs):
+        self.rows.append(f" {name}: {_ref_expr(terms)} {op} {rhs:.6f}")
+
+    def render(self):
+        out = self.lines + self.rows
+        for title, names in (("Binaries", self.binaries),
+                             ("Generals", self.generals)):
+            if names:
+                out += [title] + [f" {v}" for v in names]
+        return "\n".join(out + ["End"]) + "\n"
+
+
+def _ref_attack(inst):
+    n, nodes = inst.n, range(1, inst.n + 1)
+    g = inst.to_graph()
+    attackable = inst.attackable_nodes()
+    w = _RefLp("Maximize", ["rupturekit mip export v1", "formulation: attack",
+                            f"attack_type: {inst.attack_type}"])
+
+    def v(i, c):
+        return f"v_{i}_{c}"
+
+    def y(i, j):
+        return f"y_{i}_{j}"
+
+    w.objective([(1.0, v(i, c)) for i in nodes for c in nodes]
+                + [(-1.0, "alphaA")] + [(1.0, f"bA_{c}") for c in nodes],
+                constant=-float(n))
+    for i in nodes:
+        name, op = (f"r4b_{i}", "<=") if i in attackable else (f"r20b_{i}", "=")
+        w.row(name, [(1.0, v(i, c)) for c in nodes], op, 1.0)
+    for c in nodes:
+        w.row(f"r4c_{c}", [(1.0, v(i, c)) for i in nodes] + [(-1.0, "alphaA")],
+              "<=", 0.0)
+    for c in nodes:
+        w.row(f"r4d_{c}", [(1.0, f"bA_{c}")] + [(-1.0, v(i, c)) for i in nodes],
+              "<=", 0.0)
+    for i in nodes:
+        w.row(f"r4e_{i}", [(1.0, y(i, j)) for j in nodes if j != i]
+              + [(-(n - 1.0), v(i, c)) for c in nodes], "<=", 0.0)
+    budget = inst.budget_attack if inst.budget_attack is not None else n // 2
+    w.row("r4f", [(-inst.attack_cost[i - 1], v(i, c)) for i in nodes for c in nodes],
+          "<=", budget - sum(inst.attack_cost))
+    for i, j in combinations(nodes, 2):
+        w.row(f"r4g_{i}_{j}", [(1.0, y(i, j)), (-1.0, y(j, i))], "=", 0.0)
+    for i in nodes:
+        for j in range(1, i):
+            a = 1.0 if g.has_edge(i, j) else 0.0
+            w.row(f"r4h_{i}_{j}", [(a, v(i, c)) for c in nodes]
+                  + [(a, v(j, c)) for c in nodes] + [(-1.0, y(i, j))], "<=", a)
+            for c in nodes:
+                w.row(f"r4i_{i}_{j}_{c}",
+                      [(1.0, y(i, j)), (a, v(i, c)), (-a, v(j, c))], "<=", a)
+                w.row(f"r4j_{i}_{j}_{c}",
+                      [(1.0, y(i, j)), (-a, v(i, c)), (a, v(j, c))], "<=", a)
+    w.binaries += [v(i, c) for i in nodes for c in nodes]
+    w.binaries += [y(i, j) for i in nodes for j in nodes if i != j]
+    w.binaries += [f"bA_{c}" for c in nodes]
+    w.generals.append("alphaA")
+    return w.render()
+
+
+def _ref_response(inst, cut):
+    cut = sorted(set(cut))
+    part = components(inst.to_graph(), cut)
+    s, comps = part.count, range(1, part.count + 1)
+    n_r = [u for u in range(1, inst.n + 1) if u not in cut]
+    big_m = float(inst.n + 1)
+    budget = inst.budget_response
+    if budget is None or math.isinf(budget):
+        budget = sum(inst.link_cost.values())
+    w = _RefLp("Minimize", ["rupturekit mip export v1", "formulation: response",
+                            f"cut: {' '.join(map(str, cut))}"])
+
+    def v(i, c):
+        return f"vR_{i}_{c}"
+
+    w.objective([(-1.0, "alphaR")] + [(1.0, f"bR_{c}") for c in comps]
+                + [(1e-3, f"tR_{c}") for c in comps], constant=-float(len(cut)))
+    for c in comps:
+        w.row(f"r7b_lo_{c}", [(1.0, v(i, c)) for i in n_r] + [(-1.0, "alphaR")],
+              "<=", 0.0)
+        w.row(f"r7b_hi_{c}", [(1.0, "alphaR")] + [(-1.0, v(i, c)) for i in n_r]
+              + [(big_m, f"tR_{c}")], "<=", big_m)
+    w.row("r7c", [(1.0, f"tR_{c}") for c in comps], ">=", 1.0)
+    for i in n_r:
+        w.row(f"r7d_{i}", [(1.0, v(i, c)) for c in comps], "=", 1.0)
+    for c in comps:
+        w.row(f"r7e_{c}", [(1.0, v(i, c)) for i in n_r]
+              + [(-float(len(n_r)), f"bR_{c}")], "<=", 0.0)
+    w.row("r7f", [(inst.link_cost[i, j], f"yR_{i}_{j}")
+                  for i, j in combinations(n_r, 2) if (i, j) in inst.link_cost],
+          "<=", budget)
+    for i, j in combinations(n_r, 2):
+        w.row(f"r7g_{i}_{j}", [(1.0, f"yR_{i}_{j}"), (-1.0, f"yR_{j}_{i}")], "=", 0.0)
+        w.row(f"r7h_{i}_{j}", [(1.0, f"qR_{i}_{j}"), (-1.0, f"qR_{j}_{i}")], "=", 0.0)
+    for cm, cn in combinations(comps, 2):
+        vm, vn = part.components[cm - 1], part.components[cn - 1]
+        bridge = [(1.0, f"yR_{u}_{x}") for u in vm for x in vn]
+        for i in vm:
+            for j in vn:
+                q = f"qR_{i}_{j}"
+                w.row(f"r7i_lo_{cm}_{cn}_{i}_{j}",
+                      [(1.0, q)] + [(-c, x) for c, x in bridge], "<=", 0.0)
+                w.row(f"r7i_hi_{cm}_{cn}_{i}_{j}", bridge + [(-big_m, q)],
+                      "<=", 0.0)
+                for k in comps:
+                    w.row(f"r7j_{i}_{j}_{k}",
+                          [(1.0, v(i, k)), (1.0, v(j, k)), (-1.0, q)], "<=", 1.0)
+                    w.row(f"r7k_{i}_{j}_{k}",
+                          [(1.0, q), (1.0, v(i, k)), (-1.0, v(j, k))], "<=", 1.0)
+                    w.row(f"r7l_{i}_{j}_{k}",
+                          [(1.0, q), (-1.0, v(i, k)), (1.0, v(j, k))], "<=", 1.0)
+    w.binaries += [v(i, c) for i in n_r for c in comps]
+    for kind in ("yR", "qR"):
+        w.binaries += [f"{kind}_{i}_{j}" for i in n_r for j in n_r if i != j]
+    w.binaries += [f"bR_{c}" for c in comps] + [f"tR_{c}" for c in comps]
+    w.generals.append("alphaR")
+    return w.render(), part
+
+
+_COST_PALETTES = ((1.0,), (0.0, 1.0), (0.0, 0.25, 0.5, 1.0, 1.5, 2.75),
+                  (0.1, 0.2, 0.3, 1e6))
+
+
+def _diff_case(seed):
+    """A seeded instance for the differential check and a cut of it that
+    leaves 1 + seed % 4 components where one can be found.  Seeds 0-7 give
+    n = 1 and n = 2; the rest n = 3..12, so labels reach two digits."""
+    rng = random.Random(seed)
+    n = (1, 2)[seed % 2] if seed < 8 else rng.randint(3, 12)
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}  # a tree
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges.update(rng.sample(pairs, rng.randint(0, min(n, len(pairs)))))
+    palette = _COST_PALETTES[seed % len(_COST_PALETTES)]
+    costs = tuple(rng.choice(palette) for _ in range(n))
+    links = {p: rng.choice((0.0, 0.5, 1.0, 2.25)) for p in pairs
+             if p not in edges and rng.random() < 0.7}
+    kind = rng.choice(("targeted", "targeted", "distributed", "designated"))
+    chosen = () if kind == "targeted" else tuple(
+        sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+    inst = InstanceFile(
+        n, tuple(sorted(edges)), costs, links,
+        budget_attack=rng.choice((None, rng.uniform(0, sum(costs)))),
+        budget_response=rng.choice((None, math.inf, rng.uniform(0, 5))),
+        attack_type=kind, attack_nodes=chosen)
+    cut, want = [], 1 + seed % 4
+    for _ in range(60):
+        trial = rng.sample(range(1, n + 1), rng.randint(0, n - 1))
+        if components(inst.to_graph(), trial).count == want:
+            cut = trial
+            break
+    return inst, cut
+
+
+def _rows_written(text):
+    lines = text.splitlines()
+    start = lines.index("Subject To") + 1
+    return next(k for k in range(start, len(lines))
+                if not lines[k].startswith(" ")) - start
+
+
+def test_exports_match_term_by_term_rendering():
+    seen = {"n": set(), "kind": set(), "costs": set(), "s": set()}
+    for seed in range(320):
+        inst, cut = _diff_case(seed)
+        attack = export_mip(inst, "attack")
+        assert attack == _ref_attack(inst), seed
+        want, part = _ref_response(inst, cut)
+        response = export_mip(inst, "response", cut)
+        assert response == want, seed
+        for which, text in (("attack", attack), ("response", response)):
+            assert "\x01" not in text and "\x02" not in text, seed
+            assert _rows_written(text) == export_row_count(
+                which, inst.n, part), seed
+        seen["n"].add(min(inst.n, 10))
+        seen["kind"].add(inst.attack_type)
+        seen["costs"].update(0 if a == 0 else 1 if a == 1 else 2
+                             for a in inst.attack_cost)
+        seen["s"].add(part.count)
+    assert seen == {"n": set(range(1, 11)), "kind": set(ATTACK_TYPES) - {"random"},
+                    "costs": {0, 1, 2}, "s": {1, 2, 3, 4}}
 
 
 def _hub_and_paths(s, seed):
