@@ -566,14 +566,17 @@ def _export_attack(inst: InstanceFile) -> str:
     # r4g_i_j for j > i, from node i's pieces joined with j
     for i in nodes:
         pieces = (f" r4g_{i}_", f": y_{i}_", " - y_", f"_{i} = 0.000000")
-        rows.extend(j.join(pieces) for j in labels[i:])
+        for j in labels[i:]:
+            rows.append(j.join(pieces))
 
     # The r4h, r4i and r4j rows of a pair i > j depend only on whether i and
     # j are adjacent.  Each kind's 2n + 1 lines are rendered once, with the
     # control characters \x01 and \x02, which LP text never holds, standing
-    # for i and j.  Per node i, each kind is filled in with i and split at
-    # j's places; every pair j < i then joins its kind's pieces with j, as
-    # one multi-line entry of w.rows.
+    # for i and j.  A pair apart names i and j only together, as i_j, so
+    # that kind is split once at "\x01_\x02" and joined with each pair's
+    # i_j.  The adjacent kind is filled in with i per node and split at j's
+    # places, and each adjacent pair joins those pieces with j.  A pair's
+    # rows are one multi-line entry of w.rows.
     yij = "y_\x01_\x02"
     vi = [f"v_\x01_{c}" for c in nodes]
     vj = [f"v_\x02_{c}" for c in nodes]
@@ -584,12 +587,13 @@ def _export_attack(inst: InstanceFile) -> str:
         adjacent.append(f" r4j_\x01_\x02_{c}: {yij} - {xi} + {xj} <= 1.000000")
         apart.append(f" r4i_\x01_\x02_{c}: {yij} <= 0.000000")
         apart.append(f" r4j_\x01_\x02_{c}: {yij} <= 0.000000")
-    adjacent, apart = "\n".join(adjacent), "\n".join(apart)
+    apart = "\n".join(apart).split("\x01_\x02")
+    adjacent = "\n".join(adjacent).split("\x01")
     for i, label, nbrs in zip(nodes, labels, g._adj[1:]):
-        pieces = (apart.replace("\x01", label).split("\x02"),
-                  adjacent.replace("\x01", label).split("\x02"))
-        rows.extend(j.join(pieces[nbrs >> k & 1])
-                    for k, j in enumerate(labels[:i - 1]))
+        near = label.join(adjacent).split("\x02")
+        for k, j in enumerate(labels[:i - 1]):
+            rows.append(j.join(near) if nbrs >> k & 1
+                        else f"{label}_{j}".join(apart))
 
     # the Binaries are the same runs, split back into names
     w.binaries = " + ".join(filter(None, (v_all, *y_rows, b_row))).split(" + ")
@@ -651,7 +655,8 @@ def _export_response(inst: InstanceFile, cut: list[int],
     for k, i in enumerate(labels, 1):
         pieces = (f" r7g_{i}_", f": yR_{i}_", " - yR_", f"_{i} = 0.000000\n"
                   f" r7h_{i}_", f": qR_{i}_", " - qR_", f"_{i} = 0.000000")
-        rows.extend(j.join(pieces) for j in labels[k:])
+        for j in labels[k:]:
+            rows.append(j.join(pieces))
     # Each r7i row of a component pair holds the pair's whole bridge of yR
     # links, so the bridge is rendered once per sign for the pair's 2p rows.
     m_term = f"{_fmt(big_m)} qR_"
