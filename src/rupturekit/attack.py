@@ -28,6 +28,7 @@ from .graph import (
     _nodes_to_mask,
     _partition,
     _score_masks,
+    max_affordable,
 )
 
 STATUS_OPTIMAL = "optimal"
@@ -134,22 +135,6 @@ def _neighbour_rows(adjs: list[int], k_max: int) -> list[list[int]]:
     return rows
 
 
-def _max_removals(costs: list[float], limit: float) -> Optional[int]:
-    """An upper bound on how many of the nodes costing `costs` fit in
-    `limit` when summed as floats, or None when the least cost is 0.
-
-    Each of r removals costs at least c = min(costs), so r * c <= limit in
-    exact arithmetic; the float sum of r nonnegative terms is at least
-    (1 - 2^-53)^(r-1) times the exact one, and the quotient is rounded
-    too.  The factor 1 + 1e-9 covers both for any r below about 10^6, so
-    the count is never too small."""
-    c_min = min(costs, default=0.0)
-    if c_min <= 0.0:
-        return None
-    q = limit / c_min
-    return len(costs) if q >= len(costs) else math.floor(q * (1 + 1e-9))
-
-
 def solve_attack(model: AttackModel) -> AttackResult:
     r"""Global maximizer of r = -|X| - m + w over budget-feasible cut sets.
 
@@ -178,7 +163,7 @@ def solve_attack(model: AttackModel) -> AttackResult:
     from rows built once before the search (the nodes with at least k
     neighbours among order[idx:], for each k up to t0 + 1), so the term
     costs at most one AND and one popcount per node.  When the least cost
-    is zero, t0 is unbounded and the term is left out.
+    is zero, t0 counts every node of the order and H is empty.
     The remove branch recurses and the keep branch loops, so the recursion
     depth is the number of removals plus one.
 
@@ -266,14 +251,12 @@ def solve_attack(model: AttackModel) -> AttackResult:
         undecided[idx] = undecided[idx + 1] | bits[idx]
     # many_nbrs[f][idx]: the nodes with more than t = t0 - f neighbours
     # among order[idx:], which no completion leaves as a singleton
-    # component; a shared zero row where no node has that many, or where
-    # the least cost is zero
-    t0 = _max_removals(costs, limit)
+    # component; a shared zero row where no node has that many
+    t0 = max_affordable(costs, limit)
     many_nbrs = [[0] * (n_order + 1)] * (n_order + 1)
-    if t0 is not None:
-        rows = _neighbour_rows(adjs, t0 + 1)
-        for k in range(1, len(rows)):
-            many_nbrs[t0 + 1 - k] = rows[k]
+    rows = _neighbour_rows(adjs, t0 + 1)
+    for k in range(1, len(rows)):
+        many_nbrs[t0 + 1 - k] = rows[k]
 
     # suffix[idx]: the components of the subgraph induced on order[idx:],
     # as (node mask, neighbour mask) pairs, built from the end; read only
@@ -463,25 +446,15 @@ def solve_attack(model: AttackModel) -> AttackResult:
     # frees the search state now instead of at a later cyclic garbage
     # collection
     del dfs, levels
-    t_all = _max_removals(cost, limit)
-    if t_all is None or t_all >= g.n - 1:
+    if max_affordable(cost, limit) >= g.n - 1:
         # the single-survivor cuts V \ {u}, the only optima the search may
         # cut off, scored apart from it when one may fit.  Costs are added
-        # left to right, as the oracle sums a cut; they are nonnegative, so
-        # the scan stops once the partial sum exceeds the budget.
+        # left to right, as the oracle sums a cut.
         intact = model.intact
         for u in g.nodes:
-            if not intact <= {u}:
-                continue
-            spent = 0.0
-            for w in g.nodes:
-                if w != u:
-                    spent += cost[w - 1]
-                    if spent > limit:
-                        break
-            else:
-                bit = 1 << (u - 1)
-                leaf(g._full_mask & ~bit, 1, 1)
+            if intact <= {u} and sum(cost[w - 1] for w in g.nodes
+                                     if w != u) <= limit:
+                leaf(g._full_mask & ~(1 << (u - 1)), 1, 1)
     stats.wall_time = time.perf_counter() - start
 
     if best[0] is None:

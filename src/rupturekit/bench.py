@@ -13,7 +13,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .attack import (
-    BUDGET_TOL,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     AttackModel,
@@ -27,7 +26,13 @@ from .errors import (
     OracleMismatchError,
     SizeLimitError,
 )
-from .graph import Graph, _nodes_to_mask, _survivor_stats, worst_cut_oracle
+from .graph import (
+    Graph,
+    _nodes_to_mask,
+    _survivor_stats,
+    max_affordable,
+    worst_cut_oracle,
+)
 from .model_io import InstanceFile, default_attack_budget
 from .response import (
     MceicMatrix,
@@ -240,12 +245,10 @@ def check_attack_oracle(model: AttackModel, res: AttackResult) -> None:
 def power_subset_count(m: ResponseModel) -> int:
     """A bound on the link subsets power_subset_optimum enumerates:
     sum over k <= t of C(p, k), with p the MCEIC pairs and t the most
-    links the budget buys at the least MCEIC cost."""
-    p = len(m.mceic.cost)
-    least = min(m.mceic.cost.values(), default=0.0)
-    limit = m.effective_budget + BUDGET_TOL
-    t = p if least == 0 or math.isinf(limit) else min(p, int(limit // least))
-    return sum(math.comb(p, k) for k in range(t + 1))
+    links the budget buys, from max_affordable."""
+    costs = list(m.mceic.cost.values())
+    t = max_affordable(costs, m.limit)
+    return sum(math.comb(len(costs), k) for k in range(t + 1))
 
 
 def power_subset_optimum(m: ResponseModel) -> tuple[int, float]:
@@ -265,7 +268,7 @@ def power_subset_optimum(m: ResponseModel) -> tuple[int, float]:
     s = m.partition.count
     sizes = m.partition.sizes
     pairs = list(combinations(range(1, s + 1), 2))
-    limit = m.effective_budget + BUDGET_TOL
+    limit = m.limit
     best: Optional[tuple[int, float]] = None
 
     def find(parent: list[int], x: int) -> int:
@@ -314,7 +317,7 @@ def check_response_oracle(rm: ResponseModel, plan: ReconstructionPlan) -> None:
             return
         fault = (f"rupture {plan.rupture}, oracle {list(ref.selected)} "
                  f"rupture {ref.rupture}")
-    elif plan.total_cost > rm.effective_budget + BUDGET_TOL:
+    elif plan.total_cost > rm.limit:
         fault = "exceeds the budget"
     elif not _power_ok(plan.selected, rm.component_class):
         fault = "breaks the power rule"

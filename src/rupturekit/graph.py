@@ -22,6 +22,23 @@ DEFAULT_ENUMERATION_CAP = 22
 BUDGET_TOL = 1e-9
 
 
+def max_affordable(costs: Sequence[float], limit: float) -> int:
+    """An upper bound on how many of `costs` fit in `limit` when summed as
+    floats, in any order: at most len(costs), and all of them when the
+    least cost is 0 or the limit is infinite.
+
+    Each of r items costs at least c = min(costs), so r * c <= limit in
+    exact arithmetic; the float sum of r nonnegative terms is at least
+    (1 - 2^-53)^(r-1) times the exact one, and the quotient is rounded
+    too.  The factor 1 + 1e-9 covers both for any r below about 10^6, so
+    the count is never too small."""
+    c_min = min(costs, default=0.0)
+    if c_min <= 0.0:
+        return len(costs)
+    q = limit / c_min
+    return len(costs) if q >= len(costs) else math.floor(q * (1 + 1e-9))
+
+
 class Graph:
     """Simple undirected graph with per-node attack costs and pairwise
     link-addition costs for non-edges.  Every graph comes from one build
@@ -147,14 +164,6 @@ class Graph:
             return True
         comps = _component_masks(self._adj, self._full_mask)
         return len(comps) == 1
-
-    def add_edges(self, new_edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Return a new graph with the given edges added."""
-        merged = set(self.edges)
-        for i, j in new_edges:
-            merged.add((min(i, j), max(i, j)))
-        link = {k: v for k, v in self.link_cost.items() if k not in merged}
-        return Graph(self.n, merged, self.attack_cost, link, self.node_class)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
@@ -287,19 +296,6 @@ def _score_masks(g: Graph, nodes: frozenset[int]) -> tuple[RuptureScore, list[in
     return RuptureScore(len(nodes), m, omega, r, is_cut), masks
 
 
-def _better_cut(
-    cand: tuple[int, int, tuple[int, ...]],
-    best: Optional[tuple[int, int, tuple[int, ...]]],
-) -> bool:
-    """Tie-break: higher rupture, then smaller |X|, then lexicographically
-    smallest sorted node tuple."""
-    if best is None:
-        return True
-    cr, csz, ct = cand
-    br, bsz, bt = best
-    return (-cr, csz, ct) < (-br, bsz, bt)
-
-
 def worst_cut_oracle(
     g: Graph,
     budget: float,
@@ -322,34 +318,27 @@ def worst_cut_oracle(
             f"{enumeration_cap}"
         )
     costs = {v: g.attack_cost[v - 1] for v in pool}
-    min_cost = min(costs.values(), default=0.0)
     limit = budget + BUDGET_TOL
-    best: Optional[tuple[int, int, tuple[int, ...]]] = None
-    for k in range(0, len(pool) + 1):
-        # Stop once no k nodes fit.  Each costs at least min_cost, but the
-        # float sum of k costs may fall below the product k * min_cost:
-        # the sum is at least (1 - 2^-53)^(k - 1) times its exact value,
-        # and the product is rounded once.  Shrinking the product by a
-        # relative 1e-9 covers both for any k below about 10^6, so no
-        # level holding a subset the check below admits is skipped.
-        if k * min_cost * (1 - 1e-9) > limit:
-            break
-        for combo in combinations(pool, k):
-            if sum(costs[v] for v in combo) > limit:
-                continue
-            removed_mask = _nodes_to_mask(combo)
-            alive = g._full_mask & ~removed_mask
-            if alive == 0:
-                continue
-            m, omega = _survivor_stats(g, removed_mask)
-            if not (omega >= 2 or alive.bit_count() == 1):
-                continue
-            r = -k - m + omega
-            cand = (r, k, combo)
-            if _better_cut(cand, best):
-                best = cand
+
+    def cuts():
+        # (-r, |X|, X) of each budget-feasible cut set X; no level past
+        # max_affordable holds one
+        for k in range(max_affordable(list(costs.values()), limit) + 1):
+            for combo in combinations(pool, k):
+                if sum(costs[v] for v in combo) > limit:
+                    continue
+                removed_mask = _nodes_to_mask(combo)
+                alive = g._full_mask & ~removed_mask
+                if alive == 0:
+                    continue
+                m, omega = _survivor_stats(g, removed_mask)
+                if omega >= 2 or alive.bit_count() == 1:
+                    yield k + m - omega, k, combo
+
+    # higher rupture, then smaller |X|, then the lexicographically smallest
+    # sorted node tuple
+    best = min(cuts(), default=None)
     if best is None:
         return None
-    r, k, combo = best
-    cut = CutSet(frozenset(combo), True)
+    cut = CutSet(frozenset(best[2]), True)
     return cut, rupture_score(g, cut)

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .attack import BUDGET_TOL, AttackModel, AttackResult, solve_attack
+from .attack import AttackModel, AttackResult, solve_attack
 from .errors import InputError, SizeLimitError
-from .graph import ComponentPartition, Graph
+from .graph import BUDGET_TOL, ComponentPartition, Graph
 
 LOAD_ONLY = "load-only"
 HAS_GENERATOR = "has-generator"
@@ -78,8 +78,9 @@ class ResponseModel:
                     raise InputError(f"unknown component class {cls!r}")
 
     @property
-    def effective_budget(self) -> float:
-        return math.inf if self.budget is None else self.budget
+    def limit(self) -> float:
+        """The most a plan may cost: the budget plus BUDGET_TOL, or inf."""
+        return math.inf if self.budget is None else self.budget + BUDGET_TOL
 
 
 @dataclass
@@ -272,7 +273,7 @@ def _solve_largest_group(m: ResponseModel) -> list[tuple[int, int]]:
         for c, pair in sorted((m.mceic.cost[pair], pair)
                               for pair in combinations(range(1, s + 1), 2))
     ]
-    limit = m.effective_budget + BUDGET_TOL
+    limit = m.limit
     prefix: list[tuple[int, int]] = []
     _kruskal(ranked, limit, full, list(range(s + 1)), prefix, 0.0)
     # the components as packed groups, largest first: one sum over a group
@@ -367,7 +368,7 @@ def brute_force_response(m: ResponseModel) -> ReconstructionPlan:
     if len(all_pairs) > ORACLE_MAX_LINKS:
         raise SizeLimitError(f"{len(all_pairs)} candidate links exceed the "
                              f"enumeration cap {ORACLE_MAX_LINKS}")
-    limit = m.effective_budget + BUDGET_TOL
+    limit = m.limit
     costs = [m.mceic.cost[pair] for pair in all_pairs]
     best: Optional[tuple[int, float, tuple[tuple[int, int], ...]]] = None
 

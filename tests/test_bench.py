@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,13 @@ from rupturekit.bench import (
     sweep_budget,
 )
 from rupturekit.errors import InputError, OracleMismatchError, SizeLimitError
-from rupturekit.graph import ComponentPartition, Graph, components, rupture_score
+from rupturekit.graph import (
+    BUDGET_TOL,
+    ComponentPartition,
+    Graph,
+    components,
+    rupture_score,
+)
 from rupturekit.model_io import InstanceFile, emit_instance
 
 
@@ -154,6 +161,20 @@ class TestPowerOracle:
         # two fit 0.5 and all three fit 1.25
         assert [bench.power_subset_count(self.model(b))
                 for b in (0.0, 0.5, 1.25, None)] == [1, 7, 8, 8]
+
+    def test_subset_count_keeps_the_float_sum_margin(self):
+        # six of the ten MCEIC costs fit the budget as a float sum, though
+        # the budget over one cost floors to 5
+        c, budget = 922402671.7, 5534416030.2
+        g = Graph(5, [], link_cost={pair: c for pair in
+                                    combinations(range(1, 6), 2)})
+        part = components(g, [])
+        m = response.ResponseModel(part, response.mceic_matrix(g, part),
+                                   budget, 0)
+        limit = budget + BUDGET_TOL
+        assert sum([c] * 6) <= limit and limit // c == 5
+        assert bench.power_subset_count(m) == sum(
+            math.comb(10, k) for k in range(7)) == 848
 
     def test_cap_is_checked_before_enumerating(self, monkeypatch):
         m = self.model(None)

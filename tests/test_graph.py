@@ -87,12 +87,6 @@ class TestGraph:
         assert path_graph(6).is_connected()
         assert not Graph(4, [(1, 2), (3, 4)]).is_connected()
 
-    def test_add_edges_is_pure(self):
-        g = Graph(4, [(1, 2)])
-        g2 = g.add_edges([(3, 4)])
-        assert g.edges == ((1, 2),)
-        assert g2.edges == ((1, 2), (3, 4))
-
 
 class TestComponents:
     def test_full_graph_single_component(self):

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used in its module."""
+"""Every module-level import of the package is used in its module, and
+every module-level private function is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,42 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level functions named with a leading `_` (dunders aside)
+    that no statement of any source reads, other than their own
+    definitions, as `module: name`.  A read is a name, an attribute or a
+    name imported by `from ... import`."""
+    helpers = []
+    reads = []   # (top-level statement, the names it reads)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                helpers.append((module, stmt))
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            reads.append((stmt, names))
+    return [f"{module}: {stmt.name}" for module, stmt in helpers
+            if not any(stmt.name in names for other, names in reads
+                       if other is not stmt)]
+
+
+def test_finds_an_unreferenced_helper():
+    sources = {"a.py": ("def _used():\n    return 1\n"
+                        "def _recursive(n):\n    return _recursive(n - 1)\n"
+                        "def __getattr__(name):\n    return name\n"),
+               "b.py": "from .a import _used\nx = _used()\n"}
+    assert unreferenced_helpers(sources) == ["a.py: _recursive"]
+
+
+def test_no_unreferenced_helper():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_helpers(sources) == []

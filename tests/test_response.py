@@ -515,7 +515,7 @@ class TestDynamicWorstCut:
         plan = solve_response(m)
         model = AttackModel(g, 2.0)
         dyn = dynamic_worst_cut(g, plan, model)
-        base = rupture_score(g.add_edges(plan.links), dyn.cut)
+        base = rupture_score(Graph(g.n, g.edges + plan.links), dyn.cut)
         assert dyn.score.rupture == base.rupture
 
     def test_same_as_attack_on_the_graph_with_links(self):
@@ -535,8 +535,10 @@ class TestDynamicWorstCut:
                         part, mceic_matrix(g, part), budget,
                         first.score.cut_size))
                     dyn = dynamic_worst_cut(g, plan, model)
-                    ref = solve_attack(AttackModel(g.add_edges(plan.links),
-                                                   model.budget, attackable))
+                    full = Graph(g.n, g.edges + plan.links, g.attack_cost,
+                                 g.link_cost, g.node_class)
+                    ref = solve_attack(AttackModel(full, model.budget,
+                                                   attackable))
                     assert dyn.status == ref.status
                     assert dyn.cut == ref.cut
                     assert dyn.score == ref.score
